@@ -472,6 +472,42 @@ void BM_SelectiveQueryPruning(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectiveQueryPruning)->Args({1, 1})->Args({0, 1});
 
+/// Equi-join pruning on the §6.2 task query over the task log (about
+/// 1,890 rows, 3.57 M ordered pairs): the despite clause's nominal
+/// isSame = T keys (jobID, hostname) partition the rows, so the related-
+/// pair scan visits only pairs sharing both keys. Times ScanRelatedPairs,
+/// the scan a PerfXplain request runs, partition build included. Arg 0
+/// toggles pruning (0 = full n² scan), arg 1 is the worker-thread count;
+/// the scan results are bitwise identical either way.
+void BM_EquiJoinPruning(benchmark::State& state) {
+  static const px::bench::Fixture& fixture = *new px::bench::Fixture(
+      px::bench::Fixture::TaskLevel(px::bench::HarnessOptions{}));
+  const px::ExecutionLog& log = fixture.full_log();
+  const px::PairSchema schema(log.schema());
+  px::Query bound = fixture.query();
+  PX_CHECK(bound.Bind(schema).ok());
+  const px::ColumnarLog columns(log);
+  const px::CompiledQuery compiled =
+      px::CompiledQuery::Compile(bound, schema, columns);
+  px::EnumerationOptions enumeration;
+  enumeration.prune = state.range(0) != 0;
+  enumeration.threads = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        px::ScanRelatedPairs(columns, compiled, 0.10, enumeration));
+  }
+  state.SetLabel(px::StrFormat("prune=%s threads=%d rows=%zu",
+                               enumeration.prune ? "on" : "off",
+                               enumeration.threads, log.size()));
+}
+BENCHMARK(BM_EquiJoinPruning)
+    ->Args({1, 1})
+    ->Args({0, 1})
+    ->Args({1, 2})
+    ->Args({0, 2})
+    ->Args({1, 4})
+    ->Args({0, 4});
+
 /// The buffer-pool budget sweep: a selective SimButDiff query (despite
 /// 'numinstances = 16' derives a base-atom selection of roughly n/5 hot
 /// rows — only their tiles are ever fetched) served repeatedly at

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <set>
 
 #include "common/stats.h"
@@ -12,25 +15,52 @@
 
 namespace perfxplain::bench {
 
+namespace {
+
+[[noreturn]] void HarnessUsageError(const char* program,
+                                    const std::string& problem) {
+  std::fprintf(stderr,
+               "%s: %s\nusage: %s [--threads N] [--task-jobs-limit N] "
+               "[--runs N]\n",
+               program, problem.c_str(), program);
+  std::exit(2);
+}
+
+}  // namespace
+
 HarnessOptions ParseHarnessArgs(int argc, char** argv,
                                 HarnessOptions defaults) {
   HarnessOptions options = defaults;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_int = [&](long long fallback) -> long long {
-      if (i + 1 >= argc) return fallback;
-      auto parsed = ParseInt(argv[i + 1]);
-      if (!parsed.ok()) return fallback;
-      ++i;
-      return parsed.value();
-    };
-    if (arg == "--threads") {
-      options.threads = static_cast<int>(next_int(options.threads));
-    } else if (arg == "--task-jobs-limit") {
-      options.task_jobs_limit = static_cast<std::size_t>(
-          next_int(static_cast<long long>(options.task_jobs_limit)));
-    } else if (arg == "--runs") {
-      options.runs = static_cast<int>(next_int(options.runs));
+    std::string flag = argv[i];
+    std::optional<std::string> value;
+    if (const std::size_t eq = flag.find('='); eq != std::string::npos) {
+      value = flag.substr(eq + 1);
+      flag.resize(eq);
+    }
+    if (flag != "--threads" && flag != "--task-jobs-limit" &&
+        flag != "--runs") {
+      HarnessUsageError(argv[0], "unknown argument '" +
+                                     std::string(argv[i]) + "'");
+    }
+    if (!value.has_value()) {
+      if (i + 1 >= argc) {
+        HarnessUsageError(argv[0], "missing value for " + flag);
+      }
+      value = argv[++i];
+    }
+    const Result<long long> parsed = ParseInt(*value);
+    if (!parsed.ok() || parsed.value() < 0 ||
+        parsed.value() > std::numeric_limits<int>::max()) {
+      HarnessUsageError(argv[0], flag + " needs a count, got '" + *value +
+                                     "'");
+    }
+    if (flag == "--threads") {
+      options.threads = static_cast<int>(parsed.value());
+    } else if (flag == "--task-jobs-limit") {
+      options.task_jobs_limit = static_cast<std::size_t>(parsed.value());
+    } else {
+      options.runs = static_cast<int>(parsed.value());
     }
   }
   SetDefaultEnumerationThreads(options.threads);

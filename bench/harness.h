@@ -39,9 +39,10 @@ struct HarnessOptions {
 };
 
 /// Parses the shared experiment flags ("--threads N", "--task-jobs-limit
-/// N", "--runs N") from a bench binary's argv, applies the thread count
-/// process-wide, and returns the options. Unknown arguments are ignored so
-/// binaries can keep their own flags.
+/// N", "--runs N", each also as "--flag=N") from a bench binary's argv,
+/// applies the thread count process-wide, and returns the options. An
+/// unknown argument, a missing value, or a value that is not a
+/// non-negative integer prints a usage line and exits with code 2.
 HarnessOptions ParseHarnessArgs(int argc, char** argv,
                                 HarnessOptions defaults = {});
 

@@ -47,6 +47,17 @@ std::string OptionsFingerprint(const EngineOptions& options) {
   return fp;
 }
 
+/// `explanation` with every clause and trace vector at exact capacity.
+/// The techniques build them an atom at a time, leaving up to half of each
+/// vector unused, and callers may retain responses for long.
+Explanation ExactCapacity(Explanation explanation) {
+  explanation.despite = Predicate(explanation.despite.atoms());
+  explanation.because = Predicate(explanation.because.atoms());
+  explanation.despite_trace.shrink_to_fit();
+  explanation.because_trace.shrink_to_fit();
+  return explanation;
+}
+
 }  // namespace
 
 namespace {
@@ -330,7 +341,7 @@ Result<ExplainResponse> Engine::Explain(const PreparedQuery& prepared,
     ExplainResponse response;
     response.technique = request.technique;
     response.snapshot_id = snapshot_->id();
-    response.explanation = std::move(explanation).value();
+    response.explanation = ExactCapacity(std::move(explanation).value());
     response.explain_ms = MsSince(start);
     if (sim_but_diff) {
       response.pair_store_built = store.build_count() > builds_before;
@@ -486,7 +497,7 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
       ExplainResponse response;
       response.technique = Technique::kSimButDiff;
       response.snapshot_id = snapshot_->id();
-      response.explanation = std::move(results[b]).value();
+      response.explanation = ExactCapacity(std::move(results[b]).value());
       response.explain_ms = amortized_ms;
       response.batched = true;
       response.pair_store_built = store_built;
@@ -607,7 +618,7 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
         ExplainResponse response;
         response.technique = Technique::kPerfXplain;
         response.snapshot_id = snapshot_->id();
-        response.explanation = std::move(explanation).value();
+        response.explanation = ExactCapacity(std::move(explanation).value());
         response.explain_ms = scan_share_ms + sample_share_ms + MsSince(start);
         response.batched = true;
         if (Status evaluated = AttachEvaluation(*item.prepared, item.request,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <numeric>
 #include <thread>
 
 namespace perfxplain {
@@ -42,6 +42,17 @@ PairLabel ClassifyPairCompiled(const CompiledQuery& query, std::size_t i,
     return PairLabel::kExpected;
   }
   return PairLabel::kUnrelated;
+}
+
+CandidatePairs::CandidatePairs(const CompiledPredicate& despite,
+                               std::size_t rows, bool prune) {
+  if (prune) selection_ = despite.DeriveSelection(rows);
+  if (!selection_.constrained) {
+    selection_.first_rows.resize(rows);
+    std::iota(selection_.first_rows.begin(), selection_.first_rows.end(),
+              0u);
+    selection_.second_rows = selection_.first_rows;
+  }
 }
 
 void SetDefaultEnumerationThreads(int threads) {
@@ -138,12 +149,19 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
   // streaming draw scan, keeping memory O(accepted).
   const std::size_t n = columns.rows();
   const std::size_t cap = enumeration.sample_buffer_cap;
+  // Stripes publish their buffered-pair counts to the shared total in
+  // batches, so a scan where most candidates are related does not bounce
+  // one cache line between workers per pair. The published total never
+  // exceeds the true one, so buffering stops only on a real overflow, and
+  // at most kPublishEvery - 1 pairs per stripe are buffered past the cap.
+  constexpr std::size_t kPublishEvery = 1024;
   struct StripeState {
     RelatedCounts counts;
     std::vector<PairRef> pairs;
+    std::size_t unpublished = 0;
   };
   std::vector<StripeState> partial;
-  std::atomic<std::size_t> buffered{0};
+  std::atomic<std::size_t> published{0};
   std::atomic<bool> overflow{cap == 0};
   if (!query.despite.always_false()) {
     ScanDespitePairs(
@@ -158,10 +176,14 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
           } else {
             ++local.counts.expected;
           }
-          if (!overflow.load(std::memory_order_relaxed)) {
-            if (buffered.fetch_add(1, std::memory_order_relaxed) < cap) {
-              local.pairs.push_back({i, j, observed});
-            } else {
+          if (overflow.load(std::memory_order_relaxed)) return;
+          local.pairs.push_back({i, j, observed});
+          if (++local.unpublished == kPublishEvery) {
+            local.unpublished = 0;
+            if (published.fetch_add(kPublishEvery,
+                                    std::memory_order_relaxed) +
+                    kPublishEvery >
+                cap) {
               overflow.store(true, std::memory_order_relaxed);
             }
           }
@@ -172,7 +194,7 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
     scan.counts.observed += local.counts.observed;
     scan.counts.expected += local.counts.expected;
   }
-  scan.overflowed = overflow.load();
+  scan.overflowed = cap == 0 || scan.counts.total() > cap;
   if (!scan.overflowed) {
     // Stripes ascend, so concatenating the buffers in stripe order is the
     // row-major order the draw replay needs.
@@ -278,38 +300,24 @@ Result<std::vector<PairRef>> SampleRelatedPairs(
   const AcceptanceProbabilities p =
       ComputeAcceptance(scan.counts, sampler_options, balanced);
   // Streaming second pass: the related pairs did not fit the buffer, so
-  // the draws run against a fresh serial enumeration. Selection pruning
+  // the draws run against a fresh serial enumeration. Candidate pruning
   // keeps the surviving pairs and their order unchanged (pruned pairs are
   // unrelated and consume no draw), so the sampled set matches the
   // unpruned scan bit for bit.
   std::vector<PairRef> sampled;
   sampled.reserve(sampler_options.sample_size + 1);
   sampled.push_back({poi_first, poi_second, true});
-  const PairSelection selection = enumeration.prune
-                                      ? query.despite.DeriveSelection(n)
-                                      : PairSelection{};
-  const auto draw_pair = [&](std::size_t i, std::size_t j) {
-    if (i == j) return;
-    if (i == poi_first && j == poi_second) return;
-    const PairLabel label = ClassifyPairCompiled(query, i, j, sim_fraction);
-    if (label == PairLabel::kUnrelated) return;
-    const bool observed = label == PairLabel::kObserved;
-    if (!rng.Bernoulli(observed ? p.observed : p.expected)) return;
-    sampled.push_back({i, j, observed});
-  };
-  if (selection.constrained) {
-    for (std::uint32_t i : selection.first_rows) {
-      ThrowIfInterrupted();
-      for (std::uint32_t j : selection.second_rows) {
-        draw_pair(i, j);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      ThrowIfInterrupted();
-      for (std::size_t j = 0; j < n; ++j) {
-        draw_pair(i, j);
-      }
+  const CandidatePairs candidates(query.despite, n, enumeration.prune);
+  for (std::uint32_t i : candidates.first_rows()) {
+    ThrowIfInterrupted();
+    for (std::uint32_t j : candidates.partners(i)) {
+      if (i == j) continue;
+      if (i == poi_first && j == poi_second) continue;
+      const PairLabel label = ClassifyPairCompiled(query, i, j, sim_fraction);
+      if (label == PairLabel::kUnrelated) continue;
+      const bool observed = label == PairLabel::kObserved;
+      if (!rng.Bernoulli(observed ? p.observed : p.expected)) continue;
+      sampled.push_back({i, j, observed});
     }
   }
   return sampled;
@@ -359,36 +367,19 @@ Result<std::pair<std::size_t, std::size_t>> FindPairOfInterest(
   const std::size_t n = columns.rows();
   std::size_t remaining = skip;
   if (!query.despite.always_false()) {
-    // Selection pruning preserves the row-major order of matching pairs
+    // Candidate pruning preserves the row-major order of matching pairs
     // (pruned pairs fail des), so `skip` counts the same sequence.
-    const PairSelection selection = query.despite.DeriveSelection(n);
-    std::optional<std::pair<std::size_t, std::size_t>> found;
-    const auto visit = [&](std::size_t i, std::size_t j) {
-      if (i == j) return false;
-      if (ClassifyPairCompiled(query, i, j, sim_fraction) !=
-          PairLabel::kObserved) {
-        return false;
-      }
-      if (remaining > 0) {
+    const CandidatePairs candidates(query.despite, n, /*prune=*/true);
+    for (std::uint32_t i : candidates.first_rows()) {
+      ThrowIfInterrupted();
+      for (std::uint32_t j : candidates.partners(i)) {
+        if (i == j) continue;
+        if (ClassifyPairCompiled(query, i, j, sim_fraction) !=
+            PairLabel::kObserved) {
+          continue;
+        }
+        if (remaining == 0) return std::pair<std::size_t, std::size_t>(i, j);
         --remaining;
-        return false;
-      }
-      found = std::make_pair(i, j);
-      return true;
-    };
-    if (selection.constrained) {
-      for (std::uint32_t i : selection.first_rows) {
-        ThrowIfInterrupted();
-        for (std::uint32_t j : selection.second_rows) {
-          if (visit(i, j)) return *found;
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        ThrowIfInterrupted();
-        for (std::size_t j = 0; j < n; ++j) {
-          if (visit(i, j)) return *found;
-        }
       }
     }
   }

@@ -2,6 +2,7 @@
 #define PERFXPLAIN_CORE_PAIR_ENUMERATION_H_
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -83,12 +84,13 @@ struct EnumerationOptions {
   /// Both paths produce identical results. 0 forces the streaming path.
   std::size_t sample_buffer_cap = std::size_t{1} << 21;
 
-  /// Selection-vector pruning: derive per-row selection vectors from the
-  /// query's despite program (CompiledPredicate::DeriveSelection) and
-  /// enumerate only |sel_first| × |sel_second| candidate pairs instead of
-  /// n². Pruned pairs all fail des (they are unrelated and touch no
-  /// tally), so results are bitwise identical either way; the flag exists
-  /// for the equivalence tests and the BM_SelectiveQueryPruning baseline.
+  /// Candidate pruning: derive the despite program's PairSelection
+  /// (CompiledPredicate::DeriveSelection — row filters plus the equi-join
+  /// partition on nominal isSame = T keys) and visit only each row's
+  /// candidate partners instead of all n² pairs. Pruned pairs all fail des
+  /// (they are unrelated and touch no tally), so results are bitwise
+  /// identical either way; the flag exists for the equivalence tests and
+  /// the BM_SelectiveQueryPruning / BM_EquiJoinPruning baselines.
   bool prune = true;
 };
 
@@ -100,64 +102,77 @@ void SetDefaultEnumerationThreads(int threads);
 /// The positive thread count `options.threads` resolves to.
 int ResolveEnumerationThreads(const EnumerationOptions& options);
 
-/// Number of stripes ForEachRowStripe will actually use: the requested
-/// thread count clamped to the row count (and at least 1). Size per-stripe
-/// partial-result buffers with this, never with the raw thread count.
+/// Stripes per worker thread: claimed dynamically, so a skewed stripe (a
+/// partition's large group) or a worker started late costs little.
+inline constexpr std::size_t kStripesPerThread = 4;
+
+/// Number of stripes ForEachRowStripe will actually use: one for a single
+/// thread, else kStripesPerThread per thread, clamped to the row count.
+/// Size per-stripe partial-result buffers with this.
 inline std::size_t RowStripeCount(std::size_t rows, int threads) {
-  return std::min<std::size_t>(
-      static_cast<std::size_t>(threads > 0 ? threads : 1),
-      std::max<std::size_t>(rows, 1));
+  const std::size_t t = static_cast<std::size_t>(threads > 1 ? threads : 1);
+  return std::min<std::size_t>(t == 1 ? 1 : t * kStripesPerThread,
+                               std::max<std::size_t>(rows, 1));
 }
 
 /// Runs body(stripe_index, row_begin, row_end) over RowStripeCount
-/// contiguous row stripes covering [0, rows), on worker threads when more
-/// than one stripe is used. Stripes ascend with stripe_index, so per-stripe
-/// partial results merged in stripe order reproduce the row-major order.
-/// An exception thrown by any stripe is rethrown on the calling thread
-/// after all workers join. The calling thread's ExecContext (if any) is
-/// re-installed in every worker, so cancellation checkpoints inside `body`
-/// see the request's token and deadline across stripe boundaries. Shared by
-/// the counting scans here and in metrics.cc.
+/// contiguous row stripes covering [0, rows). With more than one stripe,
+/// the calling thread and up to `threads` - 1 workers claim stripes from a
+/// shared counter until none is left. Stripes ascend with stripe_index,
+/// so per-stripe partial results merged in stripe order reproduce the
+/// row-major order whichever thread ran each stripe. An exception thrown
+/// by any stripe stops further claims and is rethrown on the calling
+/// thread after all workers join. The calling thread's ExecContext (if
+/// any) is re-installed in every worker, so cancellation checkpoints
+/// inside `body` see the request's token and deadline across stripe
+/// boundaries. Shared by the counting scans here and in metrics.cc.
 ///
 /// Concurrency model (out of scope for the thread-safety analysis, which
 /// checks lock-guarded state only): workers write disjoint per-stripe
-/// partials and the join below is the sole publication point — no lock, no
-/// shared mutable state, so there is nothing to annotate. The bitwise
-/// thread-invariance suites and the TSan CI job enforce this invariant;
-/// any new shared mutable state added to a stripe body must either be a
-/// per-stripe partial merged after the join or hold an annotated px::Mutex.
+/// partials and the join below is the sole publication point — no lock,
+/// and no shared mutable state beyond the relaxed stripe counter, so there
+/// is nothing to annotate. The bitwise thread-invariance suites and the
+/// TSan CI job enforce this invariant; any new shared mutable state added
+/// to a stripe body must either be a per-stripe partial merged after the
+/// join or hold an annotated px::Mutex.
 template <typename Body>
 void ForEachRowStripe(std::size_t rows, int threads, Body&& body) {
-  const std::size_t t = RowStripeCount(rows, threads);
-  if (t <= 1) {
+  const std::size_t stripes = RowStripeCount(rows, threads);
+  if (stripes <= 1) {
     body(std::size_t{0}, std::size_t{0}, rows);
     return;
   }
   const ExecContext* exec_context = CurrentExecContext();
-  std::vector<std::thread> workers;
-  workers.reserve(t - 1);
-  std::vector<std::exception_ptr> errors(t);
-  const std::size_t chunk = (rows + t - 1) / t;
-  for (std::size_t b = 1; b < t; ++b) {
-    const std::size_t begin = b * chunk;
-    const std::size_t end = std::min(rows, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&body, &errors, exec_context, b, begin, end] {
-      ScopedExecContext scoped(exec_context);
+  const std::size_t chunk = (rows + stripes - 1) / stripes;
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(stripes);
+  const auto claim_stripes = [&] {
+    for (std::size_t s = next.fetch_add(1, std::memory_order_relaxed);
+         s < stripes; s = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t begin = s * chunk;
+      const std::size_t end = std::min(rows, begin + chunk);
+      if (begin >= end) continue;
       try {
-        body(b, begin, end);
+        body(s, begin, end);
       } catch (...) {
-        errors[b] = std::current_exception();
+        errors[s] = std::current_exception();
+        next.store(stripes, std::memory_order_relaxed);
       }
+    }
+  };
+  std::vector<std::thread> workers;
+  const std::size_t worker_count =
+      std::min(stripes, static_cast<std::size_t>(threads)) - 1;
+  workers.reserve(worker_count);
+  for (std::size_t w = 0; w < worker_count; ++w) {
+    workers.emplace_back([&claim_stripes, exec_context] {
+      ScopedExecContext scoped(exec_context);
+      claim_stripes();
     });
   }
-  // Stripe 0 runs on the calling thread, concurrently with the workers, so
-  // `threads` means what it says.
-  try {
-    body(std::size_t{0}, std::size_t{0}, std::min(rows, chunk));
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
+  // The calling thread claims stripes too, concurrently with the workers,
+  // so `threads` means what it says.
+  claim_stripes();
   for (std::thread& worker : workers) worker.join();
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
@@ -190,19 +205,45 @@ void ScanOrderedPairs(std::size_t rows, const EnumerationOptions& enumeration,
                    });
 }
 
-/// Row-blocked scan over the candidate pairs of a PairSelection (which
-/// must be constrained): stripes cover contiguous chunks of
-/// `selection.first_rows` (ascending, so partials merged in stripe order
-/// reproduce the row-major result), the inner loop walks
-/// `selection.second_rows`, and the diagonal is skipped. Same contract as
-/// ScanOrderedPairs over the selected subset.
+/// The candidate iterator behind every despite-driven pair scan: for each
+/// first row, ascending, the ascending partners it may pair with — the
+/// despite program's PairSelection when pruning, else all rows. Candidates
+/// come out in row-major order and only pairs failing des are skipped, so
+/// every tally, related-pair list, sampling draw and skip count is bitwise
+/// identical to the full scan. Built per scan, in O(rows). The diagonal
+/// (i, i) may appear among the candidates; callers skip it.
+class CandidatePairs {
+ public:
+  CandidatePairs(const CompiledPredicate& despite, std::size_t rows,
+                 bool prune);
+
+  /// True when nothing is pruned: every ordered pair is a candidate.
+  bool all_pairs() const { return !selection_.constrained; }
+  /// Rows that may come first in a candidate pair, ascending.
+  const std::vector<std::uint32_t>& first_rows() const {
+    return selection_.first_rows;
+  }
+  /// The ascending candidate partners of first row `i`.
+  RowRange partners(std::size_t i) const { return selection_.partners(i); }
+
+ private:
+  PairSelection selection_;
+};
+
+/// Row-blocked scan over the despite program's candidate pairs
+/// (CandidatePairs, pruned when `enumeration.prune`): stripes cover
+/// contiguous chunks of the first rows (ascending, so partials merged in
+/// stripe order reproduce the row-major result), the inner loop walks each
+/// row's partners, and the diagonal is skipped. Same contract as
+/// ScanOrderedPairs — and bitwise-identical partial tallies — over the
+/// candidate subset: pruned pairs fail des and contribute nothing.
 template <typename Partial, typename PerPair>
-void ScanSelectedPairs(const PairSelection& selection,
-                       const EnumerationOptions& enumeration,
-                       std::vector<Partial>& partials, PerPair&& per_pair) {
+void ScanDespitePairs(const CompiledPredicate& despite, std::size_t rows,
+                      const EnumerationOptions& enumeration,
+                      std::vector<Partial>& partials, PerPair&& per_pair) {
+  const CandidatePairs candidates(despite, rows, enumeration.prune);
   const int threads = ResolveEnumerationThreads(enumeration);
-  const std::vector<std::uint32_t>& first = selection.first_rows;
-  const std::vector<std::uint32_t>& second = selection.second_rows;
+  const std::vector<std::uint32_t>& first = candidates.first_rows();
   partials.assign(RowStripeCount(first.size(), threads), Partial{});
   ForEachRowStripe(first.size(), threads,
                    [&](std::size_t block, std::size_t begin,
@@ -211,33 +252,12 @@ void ScanSelectedPairs(const PairSelection& selection,
                      for (std::size_t s = begin; s < end; ++s) {
                        ThrowIfInterrupted();
                        const std::size_t i = first[s];
-                       for (std::uint32_t j : second) {
+                       for (std::uint32_t j : candidates.partners(i)) {
                          if (i != j) per_pair(local, i, j);
                        }
                      }
                      partials[block] = std::move(local);
                    });
-}
-
-/// ScanOrderedPairs with selection-vector pruning: when pruning is on and
-/// the despite program's first deterministic atom yields a selection
-/// (CompiledPredicate::DeriveSelection), only the candidate pairs are
-/// enumerated; otherwise all ordered pairs are. Bitwise-identical partial
-/// tallies either way — pruned pairs fail des and contribute nothing.
-template <typename Partial, typename PerPair>
-void ScanDespitePairs(const CompiledPredicate& despite, std::size_t rows,
-                      const EnumerationOptions& enumeration,
-                      std::vector<Partial>& partials, PerPair&& per_pair) {
-  if (enumeration.prune) {
-    const PairSelection selection = despite.DeriveSelection(rows);
-    if (selection.constrained) {
-      ScanSelectedPairs(selection, enumeration, partials,
-                        std::forward<PerPair>(per_pair));
-      return;
-    }
-  }
-  ScanOrderedPairs(rows, enumeration, partials,
-                   std::forward<PerPair>(per_pair));
 }
 
 /// Counts of related pairs by label.

@@ -210,26 +210,22 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
     if (resident != nullptr || pool != nullptr) {
       const std::size_t n = columns.rows();
       const std::size_t words = poi_codes.word_count();
-      const PairSelection selection = compiled.despite.DeriveSelection(n);
-      const std::vector<std::uint32_t>* first_rows =
-          selection.constrained ? &selection.first_rows : nullptr;
-      const std::vector<std::uint32_t>* second_rows =
-          selection.constrained ? &selection.second_rows : nullptr;
-      const std::size_t stripe_domain = first_rows ? first_rows->size() : n;
-      partial.assign(RowStripeCount(stripe_domain, resolved), Tally{});
+      const CandidatePairs candidates(compiled.despite, n, /*prune=*/true);
+      const std::vector<std::uint32_t>& first_rows = candidates.first_rows();
+      partial.assign(RowStripeCount(first_rows.size(), resolved), Tally{});
       ForEachRowStripe(
-          stripe_domain, resolved,
+          first_rows.size(), resolved,
           [&](std::size_t block, std::size_t begin, std::size_t end) {
             Tally local;
             ensure_scratch(local);
-            std::vector<std::uint32_t> candidates(n);
+            std::vector<std::uint32_t> similar(n);
             // Hoisted poi words: the filter loop reads only registers,
-            // the tile, and (with pruning) the selection vector.
+            // the tile, and (with pruning) the candidate partners.
             const std::uint64_t poi_word0 =
                 words > 0 ? poi_codes.word(0) : 0;
             for (std::size_t s = begin; s < end; ++s) {
               ThrowIfInterrupted();
-              const std::size_t i = first_rows ? (*first_rows)[s] : s;
+              const std::size_t i = first_rows[s];
               TilePool::TileRef ref;  // pin held through the row's scan
               const std::uint64_t* tile = nullptr;
               if (resident != nullptr) {
@@ -247,11 +243,7 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
                 // classify-first pack-and-compare — cheaper than a full
                 // tile build (early exit, unrelated pairs never packed)
                 // and bitwise identical in what it tallies.
-                const std::size_t inner =
-                    second_rows ? second_rows->size() : n;
-                for (std::size_t s2 = 0; s2 < inner; ++s2) {
-                  const std::size_t j =
-                      second_rows ? (*second_rows)[s2] : s2;
+                for (const std::size_t j : candidates.partners(i)) {
                   if (j == i) continue;
                   if (i == poi_first && j == poi_second) continue;
                   const PairLabel label =
@@ -266,23 +258,19 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
                 continue;
               }
               std::size_t count = 0;
-              if (words == 1 && second_rows == nullptr) {
+              if (words == 1 && candidates.all_pairs()) {
                 // The common k <= 32 shape: one word per pair, the whole
                 // row tile scanned linearly with a branchless append.
                 for (std::size_t j = 0; j < n; ++j) {
                   const std::uint64_t mask =
                       kernel::PackedDisagreeMask(tile[j], poi_word0);
-                  candidates[count] = static_cast<std::uint32_t>(j);
+                  similar[count] = static_cast<std::uint32_t>(j);
                   count += static_cast<std::size_t>(
                       static_cast<std::size_t>(kernel::PopCount(mask)) <=
                       max_disagree);
                 }
               } else {
-                const std::size_t inner =
-                    second_rows ? second_rows->size() : n;
-                for (std::size_t s2 = 0; s2 < inner; ++s2) {
-                  const std::size_t j =
-                      second_rows ? (*second_rows)[s2] : s2;
+                for (const std::size_t j : candidates.partners(i)) {
                   const std::uint64_t* pair = tile + j * words;
                   std::size_t disagree = 0;
                   for (std::size_t w = 0; w < words; ++w) {
@@ -290,13 +278,13 @@ Result<Explanation> SimButDiff::ExplainPrepared(const Query& bound,
                         kernel::PopCount(kernel::PackedDisagreeMask(
                             pair[w], poi_codes.word(w))));
                   }
-                  candidates[count] = static_cast<std::uint32_t>(j);
+                  similar[count] = static_cast<std::uint32_t>(j);
                   count += static_cast<std::size_t>(disagree <=
                                                     max_disagree);
                 }
               }
               for (std::size_t c = 0; c < count; ++c) {
-                const std::size_t j = candidates[c];
+                const std::size_t j = similar[c];
                 if (j == i) continue;
                 if (i == poi_first && j == poi_second) continue;
                 const PairLabel label =

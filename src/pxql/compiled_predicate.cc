@@ -1,5 +1,7 @@
 #include "pxql/compiled_predicate.h"
 
+#include <algorithm>
+#include <numeric>
 #include <string_view>
 
 #include "features/pair_feature_kernel.h"
@@ -98,60 +100,155 @@ void ScanColumnNumCmp(const NumericColumn& column, std::size_t rows,
   });
 }
 
+namespace {
+
+/// Fills the selection's row filters from `instr` when the atom implies a
+/// per-row, single-column necessary condition; returns whether it did.
+bool SelectRows(const PredInstr& instr, std::size_t rows,
+                PairSelection& selection) {
+  switch (instr.op) {
+    case PredOp::kBaseNomEq:
+      // base nominal == c holds only when both rows carry code c.
+      ScanColumnEqCode(instr.nom_col->codes, instr.nom_target,
+                       selection.first_rows);
+      selection.second_rows = selection.first_rows;
+      return true;
+    case PredOp::kBaseNomNe:
+      // base nominal != c needs a shared present code other than c, so
+      // each row must hold a present code != c (kNoCode target — a
+      // constant the dictionary never saw — degenerates to presence).
+      ScanColumnPresentNeCode(instr.nom_col->codes, instr.nom_target,
+                              selection.first_rows);
+      selection.second_rows = selection.first_rows;
+      return true;
+    case PredOp::kBaseNumCmp:
+      // base numeric <cmp> c requires both rows present with the same
+      // value v and cmp(v, c); each row must itself be present with
+      // cmp(value, c). NaN passes no CompareDoubles, matching the pair
+      // test (NaN != NaN makes the base feature missing).
+      ScanColumnNumCmp(*instr.num_col, rows, instr.cmp, instr.num_const,
+                       selection.first_rows);
+      selection.second_rows = selection.first_rows;
+      return true;
+    case PredOp::kDiffEq: {
+      // diff == "(l,r)" pins the first row to a target left code and the
+      // second row to a target right code.
+      std::vector<std::int32_t> lefts;
+      std::vector<std::int32_t> rights;
+      lefts.reserve(instr.diff_targets.size());
+      rights.reserve(instr.diff_targets.size());
+      for (const auto& [left, right] : instr.diff_targets) {
+        lefts.push_back(left);
+        rights.push_back(right);
+      }
+      ScanColumnCodeIn(instr.nom_col->codes, lefts, selection.first_rows);
+      ScanColumnCodeIn(instr.nom_col->codes, rights, selection.second_rows);
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+/// True for an atom that holds exactly when both rows carry the same
+/// present code of a nominal column: nominal isSame = T.
+bool IsEquiJoinKey(const PredInstr& instr) {
+  return !instr.numeric_raw && instr.op == PredOp::kIsSameEq &&
+         instr.code_target == kernel::kTrueCode;
+}
+
+/// Groups the rows on the composite key `keys` and narrows the selection
+/// to the rows whose keys are all present: group_of per row, then each
+/// group's second rows in ascending order (CSR). A first row whose group
+/// holds no second row has no candidate pair and is dropped.
+void PartitionOnKeys(const std::vector<const NominalColumn*>& keys,
+                     std::size_t rows, PairSelection& selection) {
+  constexpr std::uint32_t kNoGroup = PairSelection::kNoGroup;
+  std::vector<std::uint32_t>& group = selection.group_of;
+  group.assign(rows, 0);
+  std::size_t groups = 1;
+  // Refine the groups one key at a time: visit the rows group by group
+  // and number each group's distinct codes in turn, so rows share an id
+  // exactly when they share the group and the code. Dictionary codes are
+  // dense, so a code-indexed table stamped with the group being visited
+  // stands in for a hash map.
+  std::vector<std::uint32_t> order(rows);
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> stamp;
+  std::vector<std::uint32_t> id_of;
+  for (const NominalColumn* key : keys) {
+    start.assign(groups + 1, 0);
+    std::int32_t max_code = -1;
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (group[r] == kNoGroup) continue;
+      ++start[group[r] + 1];
+      max_code = std::max(max_code, key->codes[r]);
+    }
+    for (std::size_t g = 0; g < groups; ++g) start[g + 1] += start[g];
+    const std::size_t present = start[groups];
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (group[r] != kNoGroup) {
+        order[start[group[r]]++] = static_cast<std::uint32_t>(r);
+      }
+    }
+    stamp.assign(static_cast<std::size_t>(max_code + 1), kNoGroup);
+    id_of.resize(stamp.size());
+    std::uint32_t next = 0;
+    for (std::size_t k = 0; k < present; ++k) {
+      const std::uint32_t r = order[k];
+      if (key->codes[r] < 0) {
+        group[r] = kNoGroup;
+        continue;
+      }
+      const std::size_t code = static_cast<std::size_t>(key->codes[r]);
+      if (stamp[code] != group[r]) {
+        stamp[code] = group[r];
+        id_of[code] = next++;
+      }
+      group[r] = id_of[code];
+    }
+    groups = next;
+  }
+  const auto missing = [&](std::uint32_t r) { return group[r] == kNoGroup; };
+  std::vector<std::uint32_t>& second = selection.second_rows;
+  second.erase(std::remove_if(second.begin(), second.end(), missing),
+               second.end());
+  std::vector<std::uint32_t>& begin = selection.group_begin;
+  begin.assign(groups + 1, 0);
+  for (std::uint32_t r : second) ++begin[group[r] + 1];
+  for (std::size_t g = 0; g < groups; ++g) begin[g + 1] += begin[g];
+  selection.group_rows.resize(second.size());
+  std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+  for (std::uint32_t r : second) selection.group_rows[fill[group[r]]++] = r;
+  std::vector<std::uint32_t>& first = selection.first_rows;
+  first.erase(std::remove_if(first.begin(), first.end(),
+                             [&](std::uint32_t r) {
+                               return missing(r) ||
+                                      begin[group[r]] == begin[group[r] + 1];
+                             }),
+              first.end());
+}
+
+}  // namespace
+
 PairSelection CompiledPredicate::DeriveSelection(std::size_t rows) const {
   PairSelection selection;
   if (always_false_) return selection;
+  std::vector<const NominalColumn*> keys;
   for (const PredInstr& instr : instrs_) {
-    switch (instr.op) {
-      case PredOp::kBaseNomEq:
-        // base nominal == c holds only when both rows carry code c.
-        ScanColumnEqCode(instr.nom_col->codes, instr.nom_target,
-                         selection.first_rows);
-        selection.second_rows = selection.first_rows;
-        selection.constrained = true;
-        return selection;
-      case PredOp::kBaseNomNe:
-        // base nominal != c needs a shared present code other than c, so
-        // each row must hold a present code != c (kNoCode target — a
-        // constant the dictionary never saw — degenerates to presence).
-        ScanColumnPresentNeCode(instr.nom_col->codes, instr.nom_target,
-                                selection.first_rows);
-        selection.second_rows = selection.first_rows;
-        selection.constrained = true;
-        return selection;
-      case PredOp::kBaseNumCmp:
-        // base numeric <cmp> c requires both rows present with the same
-        // value v and cmp(v, c); each row must itself be present with
-        // cmp(value, c). NaN passes no CompareDoubles, matching the pair
-        // test (NaN != NaN makes the base feature missing).
-        ScanColumnNumCmp(*instr.num_col, rows, instr.cmp, instr.num_const,
-                         selection.first_rows);
-        selection.second_rows = selection.first_rows;
-        selection.constrained = true;
-        return selection;
-      case PredOp::kDiffEq: {
-        // diff == "(l,r)" pins the first row to a target left code and the
-        // second row to a target right code.
-        std::vector<std::int32_t> lefts;
-        std::vector<std::int32_t> rights;
-        lefts.reserve(instr.diff_targets.size());
-        rights.reserve(instr.diff_targets.size());
-        for (const auto& [left, right] : instr.diff_targets) {
-          lefts.push_back(left);
-          rights.push_back(right);
-        }
-        ScanColumnCodeIn(instr.nom_col->codes, lefts, selection.first_rows);
-        ScanColumnCodeIn(instr.nom_col->codes, rights,
-                         selection.second_rows);
-        selection.constrained = true;
-        return selection;
-      }
-      default:
-        // isSame/compare/diff-inequality atoms relate the two rows; their
-        // only per-row consequence is presence, too weak to pay for.
-        continue;
+    if (IsEquiJoinKey(instr)) keys.push_back(instr.nom_col);
+    if (!selection.constrained) {
+      selection.constrained = SelectRows(instr, rows, selection);
     }
   }
+  if (keys.empty()) return selection;
+  if (!selection.constrained) {
+    selection.first_rows.resize(rows);
+    std::iota(selection.first_rows.begin(), selection.first_rows.end(), 0u);
+    selection.second_rows = selection.first_rows;
+    selection.constrained = true;
+  }
+  PartitionOnKeys(keys, rows, selection);
   return selection;
 }
 

@@ -45,18 +45,49 @@ struct PredInstr {
   std::vector<std::pair<std::int32_t, std::int32_t>> diff_targets;
 };
 
-/// Column-level selection vectors derived from one compiled predicate: a
-/// sound per-row pre-filter for the ordered-pair scans. When `constrained`
-/// is true, every ordered pair (i, j) that can satisfy the predicate has
-/// i in `first_rows` and j in `second_rows` (both ascending), so a scan
-/// may enumerate |first| × |second| candidate pairs instead of n² —
-/// pruned pairs are all unrelated and contribute to no tally, keeping
-/// results bitwise identical to the full scan. When false, no atom
-/// admitted a single-column test and callers scan all pairs.
+/// An ascending run of row indexes inside a PairSelection, iterable with
+/// a range-for; valid while the selection lives.
+struct RowRange {
+  const std::uint32_t* first = nullptr;
+  const std::uint32_t* last = nullptr;
+  const std::uint32_t* begin() const { return first; }
+  const std::uint32_t* end() const { return last; }
+  std::size_t size() const { return static_cast<std::size_t>(last - first); }
+};
+
+/// Column-level selection derived from one compiled predicate: a sound
+/// pre-filter for the ordered-pair scans. When `constrained` is true,
+/// every ordered pair (i, j) that can satisfy the predicate has i in
+/// `first_rows`, j in `second_rows` (both ascending) and j among
+/// partners(i), so a scan may visit, for each first row in order, only its
+/// partners — pruned pairs contribute to no tally and the visited pairs
+/// keep their row-major order, so results are bitwise identical to the
+/// full scan. When false, callers scan all pairs. With equi-join keys
+/// (nominal isSame = T atoms) a row's partners are the second rows of its
+/// composite-key group; without, all of `second_rows`.
 struct PairSelection {
+  static constexpr std::uint32_t kNoGroup = 0xffffffffu;
+
   bool constrained = false;
   std::vector<std::uint32_t> first_rows;
   std::vector<std::uint32_t> second_rows;
+  /// The partition, empty when the predicate has no equi-join key: each
+  /// row's group (kNoGroup when a key code is missing), and group g's
+  /// second rows, ascending, at group_rows[group_begin[g], group_begin[g+1]).
+  std::vector<std::uint32_t> group_of;
+  std::vector<std::uint32_t> group_begin;
+  std::vector<std::uint32_t> group_rows;
+
+  /// The ascending candidate partners of first row `i`.
+  RowRange partners(std::size_t i) const {
+    if (group_of.empty()) {
+      return {second_rows.data(), second_rows.data() + second_rows.size()};
+    }
+    const std::uint32_t g = group_of[i];
+    if (g == kNoGroup) return {};
+    return {group_rows.data() + group_begin[g],
+            group_rows.data() + group_begin[g + 1]};
+  }
 };
 
 /// Single-column selection scans over dictionary codes / numeric columns —
@@ -113,19 +144,20 @@ class CompiledPredicate {
   /// lazy PairFeatureView, without materializing any Value.
   bool Eval(std::size_t i, std::size_t j, double sim_fraction) const;
 
-  /// Compiles the program's first deterministic atom — the first
-  /// instruction whose pair test implies a per-row, single-column
-  /// necessary condition — into selection vectors via the ScanColumn fast
-  /// path, in O(rows):
-  ///  - base atoms (kBaseNomEq/kBaseNomNe/kBaseNumCmp) require both rows
-  ///    to carry the same qualifying value, so one column scan constrains
-  ///    both sides;
-  ///  - diff-equality atoms (kDiffEq) constrain the first row to the
-  ///    target pairs' left codes and the second row to their right codes.
-  /// isSame/compare/diff-inequality atoms relate the two rows and admit no
-  /// useful single-row test; a program made only of those (or an
-  /// always-false one) returns an unconstrained selection. `rows` must be
-  /// the compiled-against log's row count.
+  /// Derives the program's pair selection in O(rows):
+  ///  - row filters from its first deterministic atom, via the ScanColumn
+  ///    fast path: base atoms (kBaseNomEq/kBaseNomNe/kBaseNumCmp) require
+  ///    both rows to carry the same qualifying value, so one column scan
+  ///    constrains both sides; diff-equality atoms (kDiffEq) constrain the
+  ///    first row to the target pairs' left codes and the second row to
+  ///    their right codes;
+  ///  - an equi-join partition on every nominal isSame = T atom,
+  ///    intersected with those filters; rows with a missing key code drop
+  ///    out, since missing satisfies no atom.
+  /// Numeric isSame, compare and diff-inequality atoms relate the two rows
+  /// without a transitive key and prune nothing; a program made only of
+  /// those (or an always-false one) returns an unconstrained selection.
+  /// `rows` must be the compiled-against log's row count.
   PairSelection DeriveSelection(std::size_t rows) const;
 
  private:

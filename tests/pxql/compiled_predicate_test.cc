@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -213,7 +214,9 @@ TEST(CompiledPredicateRandomTest, RandomAtomsAgreeOnRandomLogs) {
 
 /// Compiles `predicate` against `log` and asserts DeriveSelection is
 /// sound: every ordered pair the program accepts has its first row in
-/// first_rows and its second row in second_rows.
+/// first_rows, its second row in second_rows, and its second row among
+/// the first row's partners — a partition must never drop a satisfying
+/// pair.
 void ExpectSelectionSound(const ExecutionLog& log,
                           const Predicate& predicate) {
   const PairSchema schema(log.schema());
@@ -238,6 +241,11 @@ void ExpectSelectionSound(const ExecutionLog& log,
       EXPECT_TRUE(second.count(static_cast<std::uint32_t>(j)) > 0)
           << bound.ToString() << ": accepted pair (" << i << "," << j
           << ") pruned on the second side";
+      const RowRange partners = selection.partners(i);
+      EXPECT_TRUE(std::binary_search(partners.begin(), partners.end(),
+                                     static_cast<std::uint32_t>(j)))
+          << bound.ToString() << ": accepted pair (" << i << "," << j
+          << ") pruned by the partition";
     }
   }
 }
@@ -301,8 +309,9 @@ TEST_F(CompiledPredicateTest, SelectionFromDiffAtomIsAsymmetric) {
 TEST_F(CompiledPredicateTest, NoSelectionFromPairRelatingAtoms) {
   const PairSchema schema(log_.schema());
   const ColumnarLog columns(log_);
-  // isSame/compare/diff-inequality atoms admit no single-row test; the
-  // first deterministic atom of a conjunction is what prunes.
+  // Numeric isSame, compare and diff-inequality atoms admit no row filter
+  // and no transitive key; the first deterministic atom of a conjunction
+  // is what prunes.
   for (const char* text :
        {"num_isSame = T", "num_compare = GT", "color_diff != (a,b)",
         "num_isSame = T AND num_compare = SIM"}) {
@@ -321,23 +330,59 @@ TEST_F(CompiledPredicateTest, NoSelectionFromPairRelatingAtoms) {
   ExpectSelectionSound(log_, MustPredicate("num_isSame = T AND color = a"));
 }
 
+TEST_F(CompiledPredicateTest, SelectionPartitionsOnNominalIsSameKeys) {
+  const PairSchema schema(log_.schema());
+  const ColumnarLog columns(log_);
+  // color: a, b, "b,c", "a,b", c, a, missing, missing. The missing rows
+  // drop out; row 0's only other partner is row 5, its fellow "a".
+  for (const char* text :
+       {"color_isSame = T", "num_compare = SIM AND color_isSame = T"}) {
+    Predicate bound = MustPredicate(text);
+    ASSERT_TRUE(bound.Bind(schema).ok());
+    const PairSelection selection =
+        CompiledPredicate::Compile(bound, schema, columns)
+            .DeriveSelection(log_.size());
+    ASSERT_TRUE(selection.constrained) << text;
+    EXPECT_EQ(selection.first_rows,
+              (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}))
+        << text;
+    const RowRange partners = selection.partners(0);
+    EXPECT_EQ(std::vector<std::uint32_t>(partners.begin(), partners.end()),
+              (std::vector<std::uint32_t>{0, 5}))
+        << text;
+    EXPECT_EQ(selection.partners(6).size(), 0u) << text;
+    ExpectSelectionSound(log_, MustPredicate(text));
+  }
+  // A base atom's row filter intersects the partition: only the "a" rows
+  // survive, partnered with each other.
+  Predicate bound = MustPredicate("color_isSame = T AND color = a");
+  ASSERT_TRUE(bound.Bind(schema).ok());
+  const PairSelection selection =
+      CompiledPredicate::Compile(bound, schema, columns)
+          .DeriveSelection(log_.size());
+  EXPECT_EQ(selection.first_rows, (std::vector<std::uint32_t>{0, 5}));
+  EXPECT_EQ(selection.partners(5).size(), 2u);
+  ExpectSelectionSound(log_, MustPredicate("color_isSame = T AND color = a"));
+}
+
 TEST_F(CompiledPredicateTest, SelectionSoundOnRandomizedConjunctions) {
   Rng rng(271);
-  for (int round = 0; round < 40; ++round) {
+  for (int round = 0; round < 200; ++round) {
     Schema schema;
     PX_CHECK(schema.Add("n0", ValueKind::kNumeric).ok());
     PX_CHECK(schema.Add("s0", ValueKind::kNominal).ok());
     PX_CHECK(schema.Add("n1", ValueKind::kNumeric).ok());
+    PX_CHECK(schema.Add("s1", ValueKind::kNominal).ok());
     ExecutionLog log(schema);
     const char* nominal_pool[] = {"a", "b", "a,b", "c", ""};
     const int rows = static_cast<int>(rng.UniformInt(2, 10));
     for (int r = 0; r < rows; ++r) {
       std::vector<Value> values;
-      for (int c = 0; c < 3; ++c) {
+      for (int c = 0; c < 4; ++c) {
         const int kind = static_cast<int>(rng.UniformInt(0, 5));
         if (kind == 0) {
           values.push_back(Value::Missing());
-        } else if (c == 1) {
+        } else if (c == 1 || c == 3) {
           values.push_back(
               Value::Nominal(nominal_pool[rng.UniformInt(0, 4)]));
         } else if (kind == 1) {
@@ -354,12 +399,14 @@ TEST_F(CompiledPredicateTest, SelectionSoundOnRandomizedConjunctions) {
         "n0_isSame = T",    "s0_isSame = F",     "n1_compare = GT",
         "s0_diff = (a,b)",  "s0_diff != (a,b)",  "n0 = 1",
         "n0 != 0",          "n1 <= 0",           "n1 >= 1",
-        "s0 = a",           "s0 != b"};
-    const int width = static_cast<int>(rng.UniformInt(1, 3));
+        "s0 = a",           "s0 != b",           "s0_isSame = T",
+        "s1_isSame = T",    "s0_isSame != F",    "s1_isSame != T",
+        "s1 = a",           "s1_diff = (a,b)"};
+    const int width = static_cast<int>(rng.UniformInt(1, 4));
     std::string text;
     for (int a = 0; a < width; ++a) {
       if (a > 0) text += " AND ";
-      text += atoms[rng.UniformInt(0, 10)];
+      text += atoms[rng.UniformInt(0, 16)];
     }
     ExpectSelectionSound(log, MustPredicate(text));
   }

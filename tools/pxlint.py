@@ -90,7 +90,7 @@ BOUNDARY_BANNED = [
 # a rename cannot silently retire a checkpoint obligation.
 CHECKPOINT_REGISTRY = [
     ("src/core/pair_enumeration.h", "ScanOrderedPairs"),
-    ("src/core/pair_enumeration.h", "ScanSelectedPairs"),
+    ("src/core/pair_enumeration.h", "ScanDespitePairs"),
     ("src/core/pair_enumeration.cc", "SampleRelatedPairs"),
     ("src/core/pair_enumeration.cc", "FindPairOfInterest"),
     ("src/core/sim_but_diff.cc", "SimButDiff::ExplainPrepared"),
