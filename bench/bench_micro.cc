@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "core/explainer.h"
 #include "core/pair_enumeration.h"
 #include "common/string_util.h"
 #include "harness.h"
@@ -507,6 +508,60 @@ BENCHMARK(BM_EquiJoinPruning)
     ->Args({0, 2})
     ->Args({1, 4})
     ->Args({0, 4});
+
+/// The PerfXplain clause search (Algorithm 1, lines 3-17) on the §6.2 task
+/// query over the task log, at a fixed 2000-row training sample and width
+/// 3. Arg 0 selects the layer: 0 = Value-path GenerateClause (the in-binary
+/// reference; the per-iteration copy of its examples is untimed), 1 = the
+/// encoded GenerateClause (bitmap search over the training matrix),
+/// 2 = the training-matrix build alone. Both clause paths return identical
+/// traces. The matrix_bytes counter is the matrix's column storage.
+void BM_ClauseSearch(benchmark::State& state) {
+  static const px::bench::Fixture& fixture = *new px::bench::Fixture(
+      px::bench::Fixture::TaskLevel(px::bench::HarnessOptions{}));
+  const px::ExecutionLog& log = fixture.full_log();
+  const px::ColumnarLog columns(log);
+  px::ExplainerOptions options;
+  options.sampler.sample_size = 2000;
+  const px::Explainer explainer(&log, options, &columns);
+  auto bound = explainer.PrepareQuery(fixture.query());
+  PX_CHECK(bound.ok()) << bound.status().ToString();
+  const std::size_t first = log.Find(bound->first_id).value();
+  const std::size_t second = log.Find(bound->second_id).value();
+  auto encoded = explainer.BuildEncodedExamples(*bound, first, second);
+  PX_CHECK(encoded.ok());
+  auto examples = explainer.BuildExamples(*bound, first, second);
+  PX_CHECK(examples.ok());
+  const std::vector<std::size_t> excluded =
+      explainer.ExcludedRawFeatures(*bound);
+  const std::vector<px::Atom>& redundant = bound->despite.atoms();
+  const int layer = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    if (layer == 0) {
+      state.PauseTiming();
+      std::vector<px::TrainingExample> copy = examples.value();
+      state.ResumeTiming();
+      benchmark::DoNotOptimize(explainer.GenerateClause(
+          std::move(copy), options.width, /*target_expected=*/false,
+          excluded, redundant));
+    } else if (layer == 1) {
+      benchmark::DoNotOptimize(explainer.GenerateClause(
+          encoded.value(), options.width, /*target_expected=*/false,
+          excluded, redundant));
+    } else {
+      benchmark::DoNotOptimize(px::EncodedDataset(
+          columns, explainer.pair_schema(), encoded->pairs(),
+          options.pair.sim_fraction));
+    }
+  }
+  state.counters["matrix_bytes"] =
+      static_cast<double>(encoded->MatrixBytes());
+  state.SetLabel(px::StrFormat(
+      "%s rows=%zu",
+      layer == 0 ? "value" : layer == 1 ? "encoded" : "matrix_build",
+      encoded->rows()));
+}
+BENCHMARK(BM_ClauseSearch)->Arg(0)->Arg(1)->Arg(2);
 
 /// The buffer-pool budget sweep: a selective SimButDiff query (despite
 /// 'numinstances = 16' derives a base-atom selection of roughly n/5 hot

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "common/cancel.h"
 #include "core/pair_enumeration.h"
 #include "ml/split.h"
 #include "pxql/compiled_predicate.h"
@@ -31,14 +32,15 @@ double PercentileRank(double value, const std::vector<double>& all) {
 /// examples are stored. Both backends expose the same contract:
 ///  - size(): current working-set size;
 ///  - BestPredicate(f, options): per-feature max-info-gain candidate over
-///    the working set, constrained to the pair of interest;
-///  - Count(candidate): (satisfy, satisfy_target) over the working set;
+///    the working set, constrained to the pair of interest, carrying the
+///    (satisfy, satisfy_target) counts it was scored on;
 ///  - Filter(candidate): shrink the working set to satisfying examples,
 ///    returning (kept, kept_target).
 ///
 /// ValueClauseDataset scans materialized Value vectors (the compatibility
-/// path); EncodedClauseDataset scans the integer-coded training matrix and
-/// produces bit-identical candidates, gains and scores.
+/// path); EncodedClauseSearch (ml/split.h) counts with popcounts over
+/// per-feature pair-of-interest bitmaps of the integer-coded training
+/// matrix and produces bit-identical candidates, gains and scores.
 class ValueClauseDataset {
  public:
   ValueClauseDataset(const PairSchema& schema,
@@ -65,15 +67,6 @@ class ValueClauseDataset {
                                    options);
   }
 
-  void Count(const SplitCandidate& candidate, std::size_t* satisfy,
-             std::size_t* satisfy_target) const {
-    for (const TrainingExample& example : working_) {
-      if (!candidate.atom.Eval(example.features)) continue;
-      ++*satisfy;
-      if (example.observed) ++*satisfy_target;
-    }
-  }
-
   std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen) {
     std::vector<TrainingExample> next;
     next.reserve(working_.size());
@@ -92,58 +85,6 @@ class ValueClauseDataset {
   const PairSchema* schema_;
   std::vector<TrainingExample> working_;
   std::vector<Value> poi_features_;
-};
-
-class EncodedClauseDataset {
- public:
-  EncodedClauseDataset(const EncodedDataset& data, bool target_expected)
-      : data_(&data), labels_(data.labels()) {
-    rows_.reserve(data.rows());
-    for (std::size_t r = 0; r < data.rows(); ++r) {
-      rows_.push_back(static_cast<std::uint32_t>(r));
-    }
-    if (target_expected) {
-      for (std::uint8_t& label : labels_) label = label ? 0 : 1;
-    }
-  }
-
-  std::size_t size() const { return rows_.size(); }
-
-  std::optional<SplitCandidate> BestPredicate(
-      std::size_t f, const SplitOptions& options) const {
-    return BestPredicateForFeatureEncoded(*data_, rows_, labels_, f,
-                                          /*poi_row=*/0, options);
-  }
-
-  void Count(const SplitCandidate& candidate, std::size_t* satisfy,
-             std::size_t* satisfy_target) const {
-    const EncodedAtomTest test(*data_, candidate.atom);
-    for (std::uint32_t r : rows_) {
-      if (!test.Matches(*data_, r)) continue;
-      ++*satisfy;
-      if (labels_[r] != 0) ++*satisfy_target;
-    }
-  }
-
-  std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen) {
-    const EncodedAtomTest test(*data_, chosen.atom);
-    std::vector<std::uint32_t> next;
-    next.reserve(rows_.size());
-    std::size_t target_count = 0;
-    for (std::uint32_t r : rows_) {
-      if (test.Matches(*data_, r)) {
-        if (labels_[r] != 0) ++target_count;
-        next.push_back(r);
-      }
-    }
-    rows_ = std::move(next);
-    return {rows_.size(), target_count};
-  }
-
- private:
-  const EncodedDataset* data_;
-  std::vector<std::uint32_t> rows_;
-  std::vector<std::uint8_t> labels_;
 };
 
 /// Shared greedy loop (lines 3-17 of Algorithm 1). See Explainer's class
@@ -178,6 +119,7 @@ std::vector<ExplanationAtom> GenerateClauseWith(
     };
     std::vector<Candidate> candidates;
     for (std::size_t f = 0; f < schema.size(); ++f) {
+      ThrowIfInterrupted();
       if (!schema.InLevel(f, options.level)) continue;
       if (!schema.IsDefined(f)) continue;
       const std::size_t raw_index = schema.RawIndexOf(f);
@@ -195,27 +137,18 @@ std::vector<ExplanationAtom> GenerateClauseWith(
         }
       }
       if (redundant) continue;
+      // Lines 6-7: precision (or relevance) and generality of the winner,
+      // from the counts it was scored on (min_support keeps in_total > 0).
       Candidate candidate;
       candidate.split = std::move(split).value();
       candidate.pair_index = f;
+      candidate.metric = static_cast<double>(candidate.split.in_positive) /
+                         static_cast<double>(candidate.split.in_total);
+      candidate.generality = static_cast<double>(candidate.split.in_total) /
+                             static_cast<double>(working.size());
       candidates.push_back(std::move(candidate));
     }
     if (candidates.empty()) break;
-
-    // Lines 6-7: precision (or relevance) and generality of each winner.
-    for (Candidate& candidate : candidates) {
-      std::size_t satisfy = 0;
-      std::size_t satisfy_target = 0;
-      working.Count(candidate.split, &satisfy, &satisfy_target);
-      candidate.generality =
-          working.size() == 0 ? 0.0
-                              : static_cast<double>(satisfy) /
-                                    static_cast<double>(working.size());
-      candidate.metric = satisfy == 0
-                             ? 0.0
-                             : static_cast<double>(satisfy_target) /
-                                   static_cast<double>(satisfy);
-    }
 
     // Lines 8-14: percentile-rank normalization and weighted blend.
     std::vector<double> metrics;
@@ -421,7 +354,7 @@ Result<Explanation> Explainer::ExplainPreparedWithExamples(
     const Query& bound, const EncodedDataset& examples,
     const ExplainerOptions& options) const {
   Explanation explanation;
-  EncodedClauseDataset working(examples, /*target_expected=*/false);
+  EncodedClauseSearch working(examples, /*target_expected=*/false);
   explanation.because_trace =
       GenerateClauseWith(working, schema_, options, options.width,
                          ExcludedRawFeatures(bound), bound.despite.atoms());
@@ -445,7 +378,7 @@ std::vector<ExplanationAtom> Explainer::GenerateClause(
     const EncodedDataset& examples, std::size_t width, bool target_expected,
     const std::vector<std::size_t>& excluded_raw,
     const std::vector<Atom>& redundant_atoms) const {
-  EncodedClauseDataset working(examples, target_expected);
+  EncodedClauseSearch working(examples, target_expected);
   return GenerateClauseWith(working, schema_, options_, width, excluded_raw,
                             redundant_atoms);
 }
@@ -474,7 +407,7 @@ Result<Explanation> Explainer::ExplainPrepared(
   if (!examples.ok()) return examples.status();
 
   Explanation explanation;
-  EncodedClauseDataset working(examples.value(), /*target_expected=*/false);
+  EncodedClauseSearch working(examples.value(), /*target_expected=*/false);
   explanation.because_trace =
       GenerateClauseWith(working, schema_, options, options.width,
                          ExcludedRawFeatures(bound), bound.despite.atoms());
@@ -501,7 +434,7 @@ Result<Predicate> Explainer::GenerateDespitePrepared(
   auto examples =
       BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
   if (!examples.ok()) return examples.status();
-  EncodedClauseDataset working(examples.value(), /*target_expected=*/true);
+  EncodedClauseSearch working(examples.value(), /*target_expected=*/true);
   const std::vector<ExplanationAtom> trace =
       GenerateClauseWith(working, schema_, options, width,
                          ExcludedRawFeatures(bound), bound.despite.atoms());
@@ -525,8 +458,8 @@ Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
   if (!examples.ok()) return examples.status();
 
   // des' clause first, truncated at the relevance threshold.
-  EncodedClauseDataset despite_working(examples.value(),
-                                       /*target_expected=*/true);
+  EncodedClauseSearch despite_working(examples.value(),
+                                      /*target_expected=*/true);
   std::vector<ExplanationAtom> despite_trace = GenerateClauseWith(
       despite_working, schema_, options, options.despite_width,
       ExcludedRawFeatures(bound), bound.despite.atoms());
@@ -550,8 +483,8 @@ Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
   auto extended_examples =
       BuildEncodedExamplesWith(extended, poi_first, poi_second, options);
   if (!extended_examples.ok()) return extended_examples.status();
-  EncodedClauseDataset because_working(extended_examples.value(),
-                                       /*target_expected=*/false);
+  EncodedClauseSearch because_working(extended_examples.value(),
+                                      /*target_expected=*/false);
   explanation.because_trace = GenerateClauseWith(
       because_working, schema_, options, options.width,
       ExcludedRawFeatures(extended), extended.despite.atoms());

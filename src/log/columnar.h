@@ -75,6 +75,10 @@ class PresenceBitmap {
     return (words_[row >> 6] >> (row & 63)) & 1;
   }
 
+  /// Bit r of word r / 64, for word-at-a-time set algebra over rows.
+  const std::vector<std::uint64_t>& words() const { return words_; }
+  std::vector<std::uint64_t>& words() { return words_; }
+
   /// Grows the bitmap to cover `rows` rows, preserving existing bits. New
   /// rows start absent. Shrinking is not supported.
   void Resize(std::size_t rows) {

@@ -60,13 +60,10 @@ std::size_t DecisionTree::BuildEncoded(const PairSchema& schema,
     return node_index;
   }
 
-  SplitOptions split_options;
-  split_options.constrain_to_pair = false;
-
   std::optional<SplitCandidate> best;
   for (std::size_t f = 0; f < schema.size(); ++f) {
     auto candidate = BestPredicateForFeatureEncoded(
-        examples, rows, labels, f, /*poi_row=*/std::nullopt, split_options);
+        examples, rows, labels, f, /*min_support=*/1);
     if (candidate.has_value() &&
         (!best.has_value() || candidate->gain > best->gain)) {
       best = std::move(candidate);

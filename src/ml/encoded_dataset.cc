@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cancel.h"
 #include "features/pair_feature_kernel.h"
 #include "pxql/compiled_predicate.h"
 
@@ -20,88 +21,85 @@ EncodedDataset::EncodedDataset(const ColumnarLog& columns,
     labels_.push_back(pair.observed ? 1 : 0);
   }
 
+  // One pass per raw feature fills all of its defined pair-feature columns
+  // (isSame, compare and base of a numeric feature; isSame, diff and base
+  // of a nominal one), loading each pair's inputs once. Undefined features
+  // get no column and decode to missing.
   features_.resize(schema.size());
-  for (std::size_t f = 0; f < schema.size(); ++f) {
-    FeatureColumn& column = features_[f];
-    const std::size_t raw = schema.RawIndexOf(f);
-    const bool numeric_raw = columns.is_numeric(raw);
-    const PairFeatureKind kind = schema.KindOf(f);
-    column.numeric = kind == PairFeatureKind::kBase && numeric_raw;
-    if (column.numeric) {
+  for (std::size_t raw = 0; raw < schema.raw_size(); ++raw) {
+    ThrowIfInterrupted();
+    FeatureColumn& base =
+        features_[schema.IndexOf(PairFeatureKind::kBase, raw)];
+    std::vector<std::int8_t> same(m);
+    if (columns.is_numeric(raw)) {
       const NumericColumn& c = columns.numeric_column(raw);
-      column.values.assign(m, 0.0);
-      column.present = PresenceBitmap(m);
+      std::vector<std::int8_t> compare(m);
+      base.numeric = true;
+      base.values.assign(m, 0.0);
+      base.present = PresenceBitmap(m);
       for (std::size_t r = 0; r < m; ++r) {
-        const kernel::BaseNumericResult base = kernel::BaseNumeric(
-            c.present.Test(pairs_[r].first), c.values[pairs_[r].first],
-            c.present.Test(pairs_[r].second), c.values[pairs_[r].second]);
-        if (base.present) {
-          column.values[r] = base.value;
-          column.present.Set(r);
+        const std::size_t i = pairs_[r].first;
+        const std::size_t j = pairs_[r].second;
+        const bool x_present = c.present.Test(i);
+        const bool y_present = c.present.Test(j);
+        const double x = c.values[i];
+        const double y = c.values[j];
+        same[r] = kernel::IsSameNumeric(x_present, x, y_present, y,
+                                        sim_fraction);
+        compare[r] = kernel::CompareNumeric(x_present, x, y_present, y,
+                                            sim_fraction);
+        const kernel::BaseNumericResult shared =
+            kernel::BaseNumeric(x_present, x, y_present, y);
+        if (shared.present) {
+          base.values[r] = shared.value;
+          base.present.Set(r);
         }
       }
-      continue;
-    }
-    column.codes.assign(m, -1);
-    switch (kind) {
-      case PairFeatureKind::kIsSame:
-        if (numeric_raw) {
-          const NumericColumn& c = columns.numeric_column(raw);
-          for (std::size_t r = 0; r < m; ++r) {
-            column.codes[r] = kernel::IsSameNumeric(
-                c.present.Test(pairs_[r].first), c.values[pairs_[r].first],
-                c.present.Test(pairs_[r].second), c.values[pairs_[r].second],
-                sim_fraction);
-          }
-        } else {
-          const NominalColumn& c = columns.nominal_column(raw);
-          for (std::size_t r = 0; r < m; ++r) {
-            column.codes[r] = kernel::IsSameNominal(
-                c.codes[pairs_[r].first], c.codes[pairs_[r].second]);
-          }
-        }
-        break;
-      case PairFeatureKind::kCompare:
-        if (numeric_raw) {
-          const NumericColumn& c = columns.numeric_column(raw);
-          for (std::size_t r = 0; r < m; ++r) {
-            column.codes[r] = kernel::CompareNumeric(
-                c.present.Test(pairs_[r].first), c.values[pairs_[r].first],
-                c.present.Test(pairs_[r].second), c.values[pairs_[r].second],
-                sim_fraction);
-          }
-        }
-        // Nominal raw feature: compare is undefined; stays all-missing.
-        break;
-      case PairFeatureKind::kDiff:
-        if (!numeric_raw) {
-          const NominalColumn& c = columns.nominal_column(raw);
-          for (std::size_t r = 0; r < m; ++r) {
-            column.codes[r] = kernel::DiffPacked(c.codes[pairs_[r].first],
-                                                 c.codes[pairs_[r].second]);
-          }
-        }
-        break;
-      case PairFeatureKind::kBase: {
-        const NominalColumn& c = columns.nominal_column(raw);
-        for (std::size_t r = 0; r < m; ++r) {
-          column.codes[r] = kernel::BaseNominal(c.codes[pairs_[r].first],
-                                                c.codes[pairs_[r].second]);
-        }
-        break;
+      features_[schema.IndexOf(PairFeatureKind::kCompare, raw)].codes =
+          std::move(compare);
+    } else {
+      const std::vector<std::int32_t>& c = columns.nominal_column(raw).codes;
+      std::vector<std::int64_t> diff(m);
+      std::vector<std::int32_t> base_codes(m);
+      for (std::size_t r = 0; r < m; ++r) {
+        const std::int32_t x = c[pairs_[r].first];
+        const std::int32_t y = c[pairs_[r].second];
+        same[r] = kernel::IsSameNominal(x, y);
+        diff[r] = kernel::DiffPacked(x, y);
+        base_codes[r] = kernel::BaseNominal(x, y);
       }
+      features_[schema.IndexOf(PairFeatureKind::kDiff, raw)].codes =
+          std::move(diff);
+      base.codes = std::move(base_codes);
     }
+    features_[schema.IndexOf(PairFeatureKind::kIsSame, raw)].codes =
+        std::move(same);
   }
+}
+
+std::size_t EncodedDataset::MatrixBytes() const {
+  std::size_t bytes = 0;
+  for (const FeatureColumn& column : features_) {
+    bytes += std::visit(
+        [](const auto& codes) {
+          return codes.capacity() * sizeof(codes[0]);
+        },
+        column.codes);
+    bytes += column.values.capacity() * sizeof(double) +
+             column.present.words().capacity() * sizeof(std::uint64_t);
+  }
+  return bytes;
 }
 
 Value EncodedDataset::DecodeValue(std::size_t pair_index,
                                   std::size_t row) const {
   const FeatureColumn& column = features_[pair_index];
+  if (!schema_->IsDefined(pair_index)) return Value::Missing();
   if (column.numeric) {
     if (!column.present.Test(row)) return Value::Missing();
     return Value::Number(column.values[row]);
   }
-  return DecodeCode(pair_index, column.codes[row]);
+  return DecodeCode(pair_index, Code(pair_index, row));
 }
 
 Value EncodedDataset::DecodeCode(std::size_t pair_index,
@@ -126,6 +124,10 @@ EncodedAtomTest::EncodedAtomTest(const EncodedDataset& data,
                          << atom.feature();
   pair_index_ = atom.pair_index();
   numeric_ = data.IsNumericFeature(pair_index_);
+  if (!data.schema().IsDefined(pair_index_)) {
+    always_false_ = true;  // every cell is missing
+    return;
+  }
   op_ = atom.op();
   const Value& constant = atom.constant();
   const bool ordering = op_ != CompareOp::kEq && op_ != CompareOp::kNe;
@@ -177,15 +179,7 @@ EncodedAtomTest::EncodedAtomTest(const EncodedDataset& data,
   if (op_ == CompareOp::kEq && code_targets_.empty()) always_false_ = true;
 }
 
-bool EncodedAtomTest::Matches(const EncodedDataset& data,
-                              std::size_t row) const {
-  if (always_false_) return false;
-  if (numeric_) {
-    if (!data.NumericPresent(pair_index_, row)) return false;
-    return CompareDoubles(op_, data.NumericValues(pair_index_)[row],
-                          num_const_);
-  }
-  const std::int64_t code = data.Codes(pair_index_)[row];
+bool EncodedAtomTest::MatchesCode(std::int64_t code) const {
   if (code < 0) return false;
   bool in_targets = false;
   for (std::int64_t target : code_targets_) {
@@ -195,6 +189,63 @@ bool EncodedAtomTest::Matches(const EncodedDataset& data,
     }
   }
   return op_ == CompareOp::kEq ? in_targets : !in_targets;
+}
+
+bool EncodedAtomTest::Matches(const EncodedDataset& data,
+                              std::size_t row) const {
+  if (always_false_) return false;
+  if (numeric_) {
+    if (!data.NumericPresent(pair_index_, row)) return false;
+    return CompareDoubles(op_, data.NumericValues(pair_index_)[row],
+                          num_const_);
+  }
+  return MatchesCode(data.Code(pair_index_, row));
+}
+
+namespace {
+
+/// Packs pred(r) for rows [0, n) into a bitmap, one word at a time.
+template <typename Pred>
+PresenceBitmap PackRows(std::size_t n, Pred pred) {
+  PresenceBitmap rows(n);
+  std::vector<std::uint64_t>& words = rows.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t bits = 0;
+    const std::size_t end = std::min(n, w * 64 + 64);
+    for (std::size_t r = w * 64; r < end; ++r) {
+      bits |= std::uint64_t{pred(r)} << (r & 63);
+    }
+    words[w] = bits;
+  }
+  return rows;
+}
+
+}  // namespace
+
+PresenceBitmap EncodedAtomTest::MatchingRows(
+    const EncodedDataset& data) const {
+  const std::size_t n = data.rows();
+  if (always_false_) return PresenceBitmap(n);
+  if (numeric_) {
+    const std::vector<double>& values = data.NumericValues(pair_index_);
+    PresenceBitmap rows = PackRows(n, [&](std::size_t r) {
+      return CompareDoubles(op_, values[r], num_const_);
+    });
+    const std::vector<std::uint64_t>& present =
+        data.NumericPresence(pair_index_).words();
+    for (std::size_t w = 0; w < present.size(); ++w) {
+      rows.words()[w] &= present[w];
+    }
+    return rows;
+  }
+  return data.VisitCodes(pair_index_, [&](const auto& codes) {
+    if (op_ == CompareOp::kEq && code_targets_.size() == 1) {
+      const std::int64_t target = code_targets_[0];  // never negative
+      return PackRows(n, [&](std::size_t r) { return codes[r] == target; });
+    }
+    return PackRows(n,
+                    [&](std::size_t r) { return MatchesCode(codes[r]); });
+  });
 }
 
 }  // namespace perfxplain

@@ -2,6 +2,8 @@
 #define PERFXPLAIN_ML_ENCODED_DATASET_H_
 
 #include <cstdint>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/value.h"
@@ -11,18 +13,20 @@
 
 namespace perfxplain {
 
-/// A column-major, integer-coded training matrix: one column per Table 1
-/// pair feature, one row per sampled training pair. Built from a
+/// A column-major, integer-coded training matrix: one column per defined
+/// Table 1 pair feature, one row per sampled training pair. Built from a
 /// ColumnarLog via the pair-feature kernels, so no Value is ever
 /// materialized on the fast path.
 ///
 /// Column representations:
-///  - nominal-valued features (isSame, compare, diff, nominal base) expose
-///    a uniform int64 code view: isSame/compare use the kernel codes, diff
-///    uses packed (left,right) interner-code pairs, nominal base uses the
-///    shared interner's codes. Negative = missing. Equal codes <=> equal
-///    Values.
+///  - nominal-valued features (isSame, compare, diff, nominal base) hold
+///    codes at their kernel width: int8 isSame/compare codes, int64 packed
+///    (left,right) interner-code pairs for diff, int32 interner codes for
+///    nominal base. Negative = missing. Equal codes <=> equal Values, except
+///    that distinct diff codes can render to the same string.
 ///  - numeric base features are double arrays with a presence bitmap.
+///  - undefined features (compare of a nominal raw feature, diff of a
+///    numeric one) store nothing; every cell decodes to missing.
 ///
 /// The ColumnarLog's interner must outlive the dataset (codes decode
 /// through it).
@@ -40,19 +44,34 @@ class EncodedDataset {
   const std::vector<std::uint8_t>& labels() const { return labels_; }
 
   /// True when the pair feature holds doubles (base feature of a numeric
-  /// raw feature); all other features are code columns.
+  /// raw feature); all other defined features are code columns.
   bool IsNumericFeature(std::size_t pair_index) const {
     return features_[pair_index].numeric;
   }
-  const std::vector<std::int64_t>& Codes(std::size_t pair_index) const {
-    return features_[pair_index].codes;
+  /// Code of a defined code column's cell (negative = missing).
+  std::int64_t Code(std::size_t pair_index, std::size_t row) const {
+    return std::visit(
+        [row](const auto& codes) { return std::int64_t{codes[row]}; },
+        features_[pair_index].codes);
+  }
+  /// Calls fn(codes) with a defined code column's typed code vector, so a
+  /// scan dispatches on the column's width once rather than per cell.
+  template <typename Fn>
+  decltype(auto) VisitCodes(std::size_t pair_index, Fn&& fn) const {
+    return std::visit(std::forward<Fn>(fn), features_[pair_index].codes);
   }
   const std::vector<double>& NumericValues(std::size_t pair_index) const {
     return features_[pair_index].values;
   }
+  const PresenceBitmap& NumericPresence(std::size_t pair_index) const {
+    return features_[pair_index].present;
+  }
   bool NumericPresent(std::size_t pair_index, std::size_t row) const {
     return features_[pair_index].present.Test(row);
   }
+
+  /// Heap bytes of the matrix columns (labels and pair refs excluded).
+  std::size_t MatrixBytes() const;
 
   /// Decodes a cell (or a code of the column) back to the exact Value the
   /// legacy path would compute — used to build Atom constants.
@@ -62,7 +81,9 @@ class EncodedDataset {
  private:
   struct FeatureColumn {
     bool numeric = false;
-    std::vector<std::int64_t> codes;
+    std::variant<std::vector<std::int8_t>, std::vector<std::int32_t>,
+                 std::vector<std::int64_t>>
+        codes;
     std::vector<double> values;
     PresenceBitmap present;
   };
@@ -84,7 +105,12 @@ class EncodedAtomTest {
 
   bool Matches(const EncodedDataset& data, std::size_t row) const;
 
+  /// The rows of `data` the atom matches, as a bitmap (one column pass).
+  PresenceBitmap MatchingRows(const EncodedDataset& data) const;
+
  private:
+  bool MatchesCode(std::int64_t code) const;
+
   std::size_t pair_index_ = 0;
   bool numeric_ = false;
   CompareOp op_ = CompareOp::kEq;

@@ -3,20 +3,25 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "features/pair_features.h"
 #include "features/pair_schema.h"
 #include "ml/encoded_dataset.h"
+#include "ml/info_gain.h"
 #include "pxql/ast.h"
 
 namespace perfxplain {
 
 /// A candidate atomic predicate for one feature, with its information gain
-/// over the current example set (line 5 of Algorithm 1).
+/// over the current example set (line 5 of Algorithm 1) and the counts it
+/// was scored on, which lines 6-7 read as its precision and generality.
 struct SplitCandidate {
   Atom atom;
   double gain = 0.0;
+  std::size_t in_total = 0;     ///< examples satisfying the atom
+  std::size_t in_positive = 0;  ///< ... of which are labelled positive
 };
 
 /// Options controlling the per-feature predicate search.
@@ -53,18 +58,67 @@ std::optional<SplitCandidate> BestPredicateForFeature(
     std::size_t pair_index, const Value& poi_value,
     const SplitOptions& options);
 
-/// Encoded fast path of BestPredicateForFeature: the same search over an
-/// integer-coded training matrix, scanning codes and doubles instead of
-/// Values. `rows` is the current working set (dataset row indices, in
-/// order) and `labels` the per-dataset-row positive flags (already flipped
-/// when optimizing relevance). `poi_row`, when set, is the dataset row of
-/// the pair of interest (nullopt reproduces the unconstrained decision-tree
-/// search with a missing poi value). Produces bit-identical candidates and
-/// gains to the Value path.
+/// Encoded unconstrained search (decision trees): the same search as
+/// BestPredicateForFeature with constrain_to_pair = false, over an
+/// integer-coded training matrix. `rows` is the current working set
+/// (dataset row indices, in order) and `labels` the per-dataset-row
+/// positive flags. Produces bit-identical candidates and gains to the Value
+/// path.
 std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
     const EncodedDataset& data, const std::vector<std::uint32_t>& rows,
     const std::vector<std::uint8_t>& labels, std::size_t pair_index,
-    std::optional<std::size_t> poi_row, const SplitOptions& options);
+    std::size_t min_support);
+
+/// The constrained search of Algorithm 1 (lines 5-7 and 17) over an
+/// EncodedDataset whose row 0 is the pair of interest, with the working set
+/// and the labels held as row bitmaps.
+///
+/// Under Definition 3 the only candidate of a nominal feature is the pair
+/// of interest's own value, so each nominal feature reduces to one bitmap
+/// of the rows equal to it (diff features include every code that renders
+/// the same string), built once. A candidate's counts are then
+/// popcount(match & working) and popcount(match & working & label).
+/// Numeric features count `= poi` the same way and gather threshold points
+/// only from the set bits of present & working. Bit-identical to
+/// BestPredicateForFeature over the same examples.
+class EncodedClauseSearch {
+ public:
+  /// `target_expected` flips the labels, so the search measures relevance
+  /// (des' clauses) instead of precision.
+  EncodedClauseSearch(const EncodedDataset& data, bool target_expected);
+
+  /// Current working-set size.
+  std::size_t size() const { return working_total_; }
+
+  /// maxInfoGainPredicate for pair feature `f` over the working set, or
+  /// nullopt when the feature is undefined, the pair of interest's value
+  /// is missing, or no candidate reaches options.min_support. Always
+  /// constrained to the pair of interest (options.constrain_to_pair is not
+  /// read).
+  std::optional<SplitCandidate> BestPredicate(
+      std::size_t f, const SplitOptions& options) const;
+
+  /// Keeps the working rows satisfying `chosen` and returns (kept,
+  /// kept positive).
+  std::pair<std::size_t, std::size_t> Filter(const SplitCandidate& chosen);
+
+ private:
+  SplitCounts CountsIn(const PresenceBitmap& match) const;
+
+  const EncodedDataset* data_;
+  PresenceBitmap labels_;
+  PresenceBitmap working_;
+  std::size_t working_total_ = 0;
+  std::size_t working_positive_ = 0;
+  /// Per feature: the pair of interest's value and the rows equal to it;
+  /// `match` is empty when the feature has no candidate (undefined, or the
+  /// value is missing).
+  struct PoiFeature {
+    Value value;
+    PresenceBitmap match;
+  };
+  std::vector<PoiFeature> poi_;
+};
 
 /// Convenience: labels of `examples` as a bit vector (true = observed).
 std::vector<bool> Labels(const std::vector<TrainingExample>& examples);

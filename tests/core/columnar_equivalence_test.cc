@@ -370,10 +370,13 @@ TEST(ColumnarEquivalenceTest, EncodedExplainMatchesValuePipeline) {
     EXPECT_EQ(explanation->because_trace[a].atom, value_trace[a].atom)
         << explanation->because_trace[a].atom.ToString() << " vs "
         << value_trace[a].atom.ToString();
-    EXPECT_DOUBLE_EQ(explanation->because_trace[a].info_gain,
-                     value_trace[a].info_gain);
-    EXPECT_DOUBLE_EQ(explanation->because_trace[a].score,
-                     value_trace[a].score);
+    EXPECT_EQ(explanation->because_trace[a].info_gain,
+              value_trace[a].info_gain);
+    EXPECT_EQ(explanation->because_trace[a].score, value_trace[a].score);
+    EXPECT_EQ(explanation->because_trace[a].metric_after,
+              value_trace[a].metric_after);
+    EXPECT_EQ(explanation->because_trace[a].generality_after,
+              value_trace[a].generality_after);
   }
 
   // The despite generator must agree the same way.
@@ -386,6 +389,74 @@ TEST(ColumnarEquivalenceTest, EncodedExplainMatchesValuePipeline) {
   for (std::size_t a = 0; a < despite_trace.size(); ++a) {
     EXPECT_EQ(despite->atoms()[a], despite_trace[a].atom);
   }
+}
+
+/// Clause-level equivalence: GenerateClause over the encoded training
+/// matrix (the bitmap clause search) must reproduce the Value path exactly
+/// — atom, info gain, score, and the precision and generality after each
+/// filter — on awkward logs (missing values, NaN, exact zeros,
+/// comma-bearing nominals), at widths 1-4, for bec and des' clauses, with
+/// and without score normalization. Without normalization the score is the
+/// raw precision/generality blend, so a miscounted candidate cannot hide
+/// behind an unchanged percentile rank.
+TEST(ColumnarEquivalenceTest, ClauseSearchMatchesValuePathExactly) {
+  std::size_t compared = 0;
+  for (std::uint64_t seed : {61u, 62u, 63u, 64u, 65u, 66u, 67u, 68u}) {
+    const ExecutionLog log = AwkwardRandomLog(seed, 40);
+    Query query = AwkwardQuery();
+    {
+      const PairSchema schema(log.schema());
+      Query bound = query;
+      ASSERT_TRUE(bound.Bind(schema).ok());
+      auto poi = FindPairOfInterest(log, schema, bound, PairFeatureOptions{});
+      if (!poi.ok()) continue;
+      query.first_id = log.at(poi->first).id;
+      query.second_id = log.at(poi->second).id;
+    }
+    for (bool normalize : {true, false}) {
+      ExplainerOptions options;
+      options.normalize_scores = normalize;
+      options.sampler.sample_size = 300;
+      Explainer explainer(&log, options);
+      auto bound = explainer.PrepareQuery(query);
+      ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+      const std::size_t first = log.Find(bound->first_id).value();
+      const std::size_t second = log.Find(bound->second_id).value();
+      auto value_examples = explainer.BuildExamples(*bound, first, second);
+      auto encoded = explainer.BuildEncodedExamples(*bound, first, second);
+      ASSERT_TRUE(value_examples.ok());
+      ASSERT_TRUE(encoded.ok());
+      const std::vector<std::size_t> excluded =
+          explainer.ExcludedRawFeatures(*bound);
+      for (std::size_t width = 1; width <= 4; ++width) {
+        for (bool target_expected : {false, true}) {
+          const std::string context = StrFormat(
+              "seed %d normalize=%d width %zu target_expected=%d",
+              static_cast<int>(seed), normalize ? 1 : 0, width,
+              target_expected ? 1 : 0);
+          const std::vector<ExplanationAtom> want = explainer.GenerateClause(
+              value_examples.value(), width, target_expected, excluded,
+              bound->despite.atoms());
+          const std::vector<ExplanationAtom> got = explainer.GenerateClause(
+              encoded.value(), width, target_expected, excluded,
+              bound->despite.atoms());
+          ASSERT_EQ(got.size(), want.size()) << context;
+          for (std::size_t a = 0; a < want.size(); ++a) {
+            EXPECT_EQ(got[a].atom, want[a].atom)
+                << context << ": " << got[a].atom.ToString() << " vs "
+                << want[a].atom.ToString();
+            EXPECT_EQ(got[a].info_gain, want[a].info_gain) << context;
+            EXPECT_EQ(got[a].score, want[a].score) << context;
+            EXPECT_EQ(got[a].metric_after, want[a].metric_after) << context;
+            EXPECT_EQ(got[a].generality_after, want[a].generality_after)
+                << context;
+          }
+          compared += want.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);
 }
 
 TEST(ColumnarEquivalenceTest, ExplanationsInvariantUnderThreadCount) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "common/cancel.h"
 #include "core/metrics.h"
 #include "core/pair_enumeration.h"
 #include "testing/test_util.h"
@@ -299,6 +302,35 @@ TEST_F(ExplainerTest, BuildExamplesIncludesPoiFirst) {
   EXPECT_EQ(examples->front().first, first);
   EXPECT_EQ(examples->front().second, second);
   EXPECT_TRUE(examples->front().observed);
+}
+
+TEST_F(ExplainerTest, ClauseSearchObservesPreCancelledContext) {
+  Explainer explainer(&log_, ExplainerOptions());
+  auto bound = explainer.PrepareQuery(MakeQuery());
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  const std::size_t first = log_.Find(bound->first_id).value();
+  const std::size_t second = log_.Find(bound->second_id).value();
+  auto examples = explainer.BuildEncodedExamples(*bound, first, second);
+  ASSERT_TRUE(examples.ok());
+
+  auto token = std::make_shared<CancelToken>();
+  token->Cancel();
+  ExecContext context;
+  context.cancel = token;
+  const ScopedExecContext scope(&context);
+  // The greedy loop checks once per feature of every step.
+  try {
+    explainer.GenerateClause(examples.value(), 3, /*target_expected=*/false,
+                             explainer.ExcludedRawFeatures(*bound),
+                             bound->despite.atoms());
+    ADD_FAILURE() << "GenerateClause ignored the cancelled context";
+  } catch (const InterruptedError& error) {
+    EXPECT_EQ(error.status().code(), StatusCode::kCancelled);
+  }
+  // The training-matrix build checks once per raw feature's columns.
+  EXPECT_THROW(EncodedDataset(explainer.columnar(), explainer.pair_schema(),
+                              examples->pairs(), 0.10),
+               InterruptedError);
 }
 
 }  // namespace

@@ -129,10 +129,13 @@ TEST(EncodedDatasetTest, AtomTestMatchesAtomEval) {
   }
   for (const Atom& atom : atoms) {
     const EncodedAtomTest test(fx.dataset, atom);
+    const PresenceBitmap matching = test.MatchingRows(fx.dataset);
     for (std::size_t r = 0; r < fx.dataset.rows(); ++r) {
-      EXPECT_EQ(test.Matches(fx.dataset, r),
-                atom.Eval(fx.examples[r].features))
+      const bool expected = atom.Eval(fx.examples[r].features);
+      EXPECT_EQ(test.Matches(fx.dataset, r), expected)
           << atom.ToString() << " row " << r;
+      EXPECT_EQ(matching.Test(r), expected)
+          << "MatchingRows " << atom.ToString() << " row " << r;
     }
   }
 }
@@ -145,7 +148,24 @@ void ExpectSameCandidate(const std::optional<SplitCandidate>& actual,
   EXPECT_EQ(actual->atom, expected->atom)
       << context << ": " << actual->atom.ToString() << " vs "
       << expected->atom.ToString();
-  EXPECT_DOUBLE_EQ(actual->gain, expected->gain) << context;
+  EXPECT_EQ(actual->gain, expected->gain) << context;
+  EXPECT_EQ(actual->in_total, expected->in_total) << context;
+  EXPECT_EQ(actual->in_positive, expected->in_positive) << context;
+}
+
+/// The counts a candidate carries, recomputed from its atom.
+void ExpectCountsMatchAtom(const SplitCandidate& candidate,
+                           const std::vector<TrainingExample>& examples,
+                           bool target_expected, const std::string& context) {
+  std::size_t in_total = 0;
+  std::size_t in_positive = 0;
+  for (const TrainingExample& example : examples) {
+    if (!candidate.atom.Eval(example.features)) continue;
+    ++in_total;
+    if (example.observed != target_expected) ++in_positive;
+  }
+  EXPECT_EQ(candidate.in_total, in_total) << context;
+  EXPECT_EQ(candidate.in_positive, in_positive) << context;
 }
 
 TEST(EncodedSplitTest, BestPredicateMatchesValuePathEveryFeature) {
@@ -155,51 +175,95 @@ TEST(EncodedSplitTest, BestPredicateMatchesValuePathEveryFeature) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       rows[r] = static_cast<std::uint32_t>(r);
     }
-    for (bool constrained : {true, false}) {
-      SplitOptions options;
-      options.constrain_to_pair = constrained;
-      options.min_support = 2;
-      for (std::size_t f = 0; f < fx.schema.size(); ++f) {
-        const Value poi_value = constrained
-                                    ? fx.examples[0].features[f]
-                                    : Value::Missing();
-        const auto expected = BestPredicateForFeature(
-            fx.schema, fx.examples, f, poi_value, options);
-        const auto actual = BestPredicateForFeatureEncoded(
-            fx.dataset, rows, fx.dataset.labels(), f,
-            constrained ? std::optional<std::size_t>(0) : std::nullopt,
-            options);
-        ExpectSameCandidate(
-            actual, expected,
-            StrFormat("seed %d feature %s constrained=%d",
-                      static_cast<int>(seed), fx.schema.NameOf(f).c_str(),
-                      constrained ? 1 : 0));
+    SplitOptions options;
+    options.min_support = 2;
+    const EncodedClauseSearch search(fx.dataset, /*target_expected=*/false);
+    for (std::size_t f = 0; f < fx.schema.size(); ++f) {
+      const std::string context = StrFormat(
+          "seed %d feature %s", static_cast<int>(seed),
+          fx.schema.NameOf(f).c_str());
+      // Constrained to the pair of interest (row 0): the clause search.
+      options.constrain_to_pair = true;
+      const auto expected = BestPredicateForFeature(
+          fx.schema, fx.examples, f, fx.examples[0].features[f], options);
+      ExpectSameCandidate(search.BestPredicate(f, options), expected,
+                          context + " constrained");
+      if (expected.has_value()) {
+        ExpectCountsMatchAtom(*expected, fx.examples, false, context);
       }
+      // Unconstrained: the decision-tree search.
+      options.constrain_to_pair = false;
+      ExpectSameCandidate(
+          BestPredicateForFeatureEncoded(fx.dataset, rows,
+                                         fx.dataset.labels(), f,
+                                         options.min_support),
+          BestPredicateForFeature(fx.schema, fx.examples, f,
+                                  Value::Missing(), options),
+          context + " unconstrained");
     }
   }
 }
 
-TEST(EncodedSplitTest, RespectsWorkingSubsets) {
-  const EncodedFixture fx(13, 10);
-  // Odd-indexed subset: the encoded search must score only those rows.
-  std::vector<std::uint32_t> rows;
-  std::vector<TrainingExample> subset;
-  subset.push_back(fx.examples[0]);
-  rows.push_back(0);
-  for (std::size_t r = 1; r < fx.dataset.rows(); r += 2) {
-    rows.push_back(static_cast<std::uint32_t>(r));
-    subset.push_back(fx.examples[r]);
-  }
+/// Filters the clause search on the first nominal, then the first numeric
+/// feature with a candidate, checking each Filter against Atom::Eval, then
+/// checks every feature's search over the kept rows against the Value path.
+/// Returns whether a numeric atom was among the filters.
+bool CheckWorkingSubset(std::uint64_t seed, bool target_expected) {
+  const EncodedFixture fx(seed, 10);
+  EncodedClauseSearch search(fx.dataset, target_expected);
+  std::vector<TrainingExample> subset = fx.examples;
   SplitOptions options;
   options.min_support = 2;
+  bool numeric_filter = false;
+  for (bool numeric : {false, true}) {
+    for (std::size_t f = 0; f < fx.schema.size(); ++f) {
+      if (fx.dataset.IsNumericFeature(f) != numeric) continue;
+      const auto chosen = search.BestPredicate(f, options);
+      if (!chosen.has_value()) continue;
+      const auto [kept, kept_positive] = search.Filter(*chosen);
+      std::vector<TrainingExample> next;
+      std::size_t positive = 0;
+      for (const TrainingExample& example : subset) {
+        if (!chosen->atom.Eval(example.features)) continue;
+        if (example.observed != target_expected) ++positive;
+        next.push_back(example);
+      }
+      subset = std::move(next);
+      const std::string context = chosen->atom.ToString();
+      EXPECT_EQ(kept, subset.size()) << context;
+      EXPECT_EQ(kept_positive, positive) << context;
+      EXPECT_EQ(search.size(), subset.size()) << context;
+      numeric_filter = numeric_filter || numeric;
+      break;
+    }
+  }
+  // The Value path sees the flipped labels as `observed`.
+  for (TrainingExample& example : subset) {
+    example.observed = example.observed != target_expected;
+  }
   for (std::size_t f = 0; f < fx.schema.size(); ++f) {
+    const std::string context = StrFormat(
+        "seed %d target_expected=%d subset feature %s",
+        static_cast<int>(seed), target_expected ? 1 : 0,
+        fx.schema.NameOf(f).c_str());
     const auto expected = BestPredicateForFeature(
         fx.schema, subset, f, fx.examples[0].features[f], options);
-    const auto actual = BestPredicateForFeatureEncoded(
-        fx.dataset, rows, fx.dataset.labels(), f, 0, options);
-    ExpectSameCandidate(actual, expected,
-                        "subset feature " + fx.schema.NameOf(f));
+    ExpectSameCandidate(search.BestPredicate(f, options), expected, context);
+    if (expected.has_value()) {
+      ExpectCountsMatchAtom(*expected, subset, false, context);
+    }
   }
+  return numeric_filter;
+}
+
+TEST(EncodedSplitTest, RespectsWorkingSubsets) {
+  int numeric_filters = 0;
+  for (std::uint64_t seed = 10; seed < 20; ++seed) {
+    for (bool target_expected : {false, true}) {
+      if (CheckWorkingSubset(seed, target_expected)) ++numeric_filters;
+    }
+  }
+  EXPECT_GT(numeric_filters, 0);  // some seed filtered on a numeric atom
 }
 
 TEST(EncodedDecisionTreeTest, FitsIdenticalTrees) {

@@ -285,6 +285,77 @@ TEST_F(CliTest, ExplainRejectsNegativeRobustnessOptions) {
   }
 }
 
+TEST_F(CliTest, RejectsUnknownOptionWithUsage) {
+  Query query;
+  const std::string path = WriteCausalLog(&query);
+  std::string output;
+  EXPECT_EQ(RunCli({"info", "--log", path, "--bogus", "1"}, &output), 1);
+  EXPECT_NE(output.find("unknown option --bogus"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("usage:"), std::string::npos);
+  // An option another command accepts is still unknown here.
+  output.clear();
+  EXPECT_EQ(RunCli({"info", "--log", path, "--width", "2"}, &output), 1);
+  EXPECT_NE(output.find("unknown option --width"), std::string::npos);
+  output.clear();
+  EXPECT_EQ(RunCli({"despite", "--log", path, "--query", QueryText(query),
+                    "--prose"},
+                   &output),
+            1);
+  EXPECT_NE(output.find("unknown option --prose"), std::string::npos);
+}
+
+TEST_F(CliTest, RejectsRepeatedSingleValuedOption) {
+  Query query;
+  const std::string path = WriteCausalLog(&query);
+  std::string output;
+  EXPECT_EQ(RunCli({"explain", "--log", path, "--query", QueryText(query),
+                    "--width", "2", "--width", "3"},
+                   &output),
+            1);
+  EXPECT_NE(output.find("--width given more than once"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("usage:"), std::string::npos);
+  output.clear();
+  EXPECT_EQ(RunCli({"explain", "--log", path, "--query", QueryText(query),
+                    "--prose", "--prose"},
+                   &output),
+            1);
+  EXPECT_NE(output.find("--prose given more than once"), std::string::npos);
+  // --query repeats by design.
+  output.clear();
+  EXPECT_EQ(RunCli({"explain", "--log", path, "--query", QueryText(query),
+                    "--query", QueryText(query)},
+                   &output),
+            0)
+      << output;
+}
+
+TEST_F(CliTest, RejectsNegativeThreadsWithUsage) {
+  Query query;
+  const std::string path = WriteCausalLog(&query);
+  for (const char* command : {"explain", "despite"}) {
+    for (const char* threads : {"-1", "two"}) {
+      std::string output;
+      EXPECT_EQ(RunCli({command, "--log", path, "--query", QueryText(query),
+                        "--threads", threads},
+                       &output),
+                1)
+          << command << " " << threads;
+      EXPECT_NE(output.find("--threads must be a non-negative integer"),
+                std::string::npos)
+          << output;
+      EXPECT_NE(output.find("usage:"), std::string::npos);
+    }
+  }
+  std::string output;
+  EXPECT_EQ(RunCli({"explain", "--log", path, "--query", QueryText(query),
+                    "--threads", "0"},
+                   &output),
+            0)
+      << output;
+}
+
 TEST_F(CliTest, MissingOptionValueFails) {
   std::string output;
   EXPECT_EQ(RunCli({"info", "--log"}, &output), 1);

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -104,7 +105,7 @@ A PXQL query names its pair of interest and three predicates:
 )";
 
 /// Parsed --key value options plus positional arguments. `options` keeps
-/// the last value per key; `ordered` keeps every (key, value) pair in
+/// the value per key; `ordered` keeps every (key, value) pair in
 /// command-line order so repeatable options (--query, --query-file)
 /// preserve their multiplicity and order.
 struct ParsedArgs {
@@ -121,6 +122,57 @@ struct ParsedArgs {
   }
 };
 
+/// Each command's accepted options and flags. A trailing '*' marks an
+/// option that may repeat; every other option and flag may appear at most
+/// once. Unknown commands are left for Run to report.
+const std::map<std::string, std::set<std::string>>& CommandOptions() {
+  static const auto* table = new std::map<std::string, std::set<std::string>>{
+      {"generate", {"out", "seed", "jobs"}},
+      {"ingest", {"history", "ganglia", "out"}},
+      {"info", {"log"}},
+      {"explain",
+       {"log", "query*", "query-file*", "width", "technique", "auto-despite",
+        "prose", "threads", "deadline-ms", "max-candidate-pairs",
+        "max-pair-store-bytes", "max-training-cells",
+        "pair-code-budget-bytes", "result-cache-bytes", "append-from",
+        "rotate-rows", "wal-dir", "checkpoint-dir", "fsync",
+        "append-delay-ms", "print-acks"}},
+      {"recover",
+       {"log", "wal-dir", "checkpoint-dir", "fsync", "query*",
+        "query-file*", "dump-log", "width", "technique", "prose",
+        "threads"}},
+      {"despite", {"log", "query", "width", "threads"}},
+      {"help", {}},
+  };
+  return *table;
+}
+
+/// Rejects an option `name` the command does not accept, or a repeat of a
+/// non-repeatable one; --threads must also be a non-negative count.
+Status CheckOption(const ParsedArgs& parsed, const std::string& name,
+                   const std::string* value) {
+  const auto& table = CommandOptions();
+  const auto command = table.find(parsed.command);
+  if (command == table.end()) return Status::OK();
+  if (command->second.count(name) == 0 &&
+      command->second.count(name + "*") == 0) {
+    return Status::InvalidArgument("unknown option --" + name + " for '" +
+                                   parsed.command + "'");
+  }
+  if (command->second.count(name) > 0 &&
+      (parsed.options.count(name) > 0 || parsed.HasFlag(name))) {
+    return Status::InvalidArgument("--" + name + " given more than once");
+  }
+  if (name == "threads") {
+    auto threads = ParseInt(*value);
+    if (!threads.ok() || *threads < 0) {
+      return Status::InvalidArgument(
+          "--threads must be a non-negative integer");
+    }
+  }
+  return Status::OK();
+}
+
 Result<ParsedArgs> ParseArgs(const std::vector<std::string>& args) {
   ParsedArgs parsed;
   if (args.empty()) return Status::InvalidArgument("no command given");
@@ -133,12 +185,14 @@ Result<ParsedArgs> ParseArgs(const std::vector<std::string>& args) {
     const std::string name = arg.substr(2);
     // Boolean flags take no value.
     if (name == "auto-despite" || name == "prose" || name == "print-acks") {
+      PX_RETURN_IF_ERROR(CheckOption(parsed, name, nullptr));
       parsed.flags.push_back(name);
       continue;
     }
     if (i + 1 >= args.size()) {
       return Status::InvalidArgument("missing value for --" + name);
     }
+    PX_RETURN_IF_ERROR(CheckOption(parsed, name, &args[i + 1]));
     parsed.options[name] = args[i + 1];
     parsed.ordered.emplace_back(name, args[++i]);
   }

@@ -93,10 +93,12 @@ CHECKPOINT_REGISTRY = [
     ("src/core/pair_enumeration.h", "ScanDespitePairs"),
     ("src/core/pair_enumeration.cc", "SampleRelatedPairs"),
     ("src/core/pair_enumeration.cc", "FindPairOfInterest"),
+    ("src/core/explainer.cc", "GenerateClauseWith"),
     ("src/core/sim_but_diff.cc", "SimButDiff::ExplainPrepared"),
     ("src/features/pair_code_store.cc", "PairCodeStore::Build"),
     ("src/features/pair_code_store.cc", "PairCodeStore::BuildSeeded"),
     ("src/features/tile_pool.cc", "TilePool::BuildTile"),
+    ("src/ml/encoded_dataset.cc", "EncodedDataset::EncodedDataset"),
     ("src/ml/relief.cc", "RRelieffStripedImpl"),
     ("src/ml/decision_tree.cc", "DecisionTree::BuildEncoded"),
     ("src/ml/decision_tree.cc", "DecisionTree::Build"),
