@@ -261,20 +261,31 @@ void BM_RuleOfThumbRankLegacyValuePath(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleOfThumbRankLegacyValuePath);
 
+/// Engine::Evaluate of the engine's own PerfXplain explanation. Arg 0 = the
+/// job log and query 2 (the micro fixture), 1 = the §6.2 task log and
+/// query 1 (about 1,890 rows).
 void BM_EvaluateExplanation(benchmark::State& state) {
-  const MicroFixture& fixture = MicroFixture::Get();
-  const px::Engine engine(fixture.log);
-  auto prepared = engine.Prepare(fixture.query);
-  PX_CHECK(prepared.ok());
+  static const px::bench::Fixture& tasks = *new px::bench::Fixture(
+      px::bench::Fixture::TaskLevel(px::bench::HarnessOptions{}));
+  const bool task_log = state.range(0) != 0;
+  const px::ExecutionLog& log =
+      task_log ? tasks.full_log() : MicroFixture::Get().log;
+  const px::Query& query =
+      task_log ? tasks.query() : MicroFixture::Get().query;
+  const px::Engine engine(log);
+  auto prepared = engine.Prepare(query);
+  PX_CHECK(prepared.ok()) << prepared.status().ToString();
   auto response = engine.Explain(*prepared);
-  PX_CHECK(response.ok());
+  PX_CHECK(response.ok()) << response.status().ToString();
   for (auto _ : state) {
     auto metrics = engine.Evaluate(*prepared, response->explanation);
     PX_CHECK(metrics.ok());
     benchmark::DoNotOptimize(metrics);
   }
+  state.SetLabel(px::StrFormat("%s rows=%zu", task_log ? "tasks" : "jobs",
+                               log.size()));
 }
-BENCHMARK(BM_EvaluateExplanation);
+BENCHMARK(BM_EvaluateExplanation)->Arg(0)->Arg(1);
 
 /// The batch path of the service API: Q SimButDiff queries (same query
 /// shape, different pairs of interest) answered by Engine::ExplainBatch —

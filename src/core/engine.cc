@@ -660,7 +660,9 @@ Result<Predicate> Engine::GenerateDespite(const PreparedQuery& prepared,
 Result<ExplanationMetrics> Engine::Evaluate(
     const PreparedQuery& prepared, const Explanation& explanation) const {
   PX_RETURN_IF_ERROR(CheckPrepared(prepared));
-  return EvaluateOn(snapshot_->log(), prepared.bound(), explanation);
+  // The snapshot's own columns: no re-encoding of its log per request.
+  return EvaluateOnColumns(snapshot_->columns(), prepared.bound(),
+                           explanation);
 }
 
 Result<ExplanationMetrics> Engine::EvaluateOn(
@@ -669,6 +671,12 @@ Result<ExplanationMetrics> Engine::EvaluateOn(
   if (!(test_log.schema() == snapshot_->log().schema())) {
     return Status::InvalidArgument("test log schema differs from training");
   }
+  return EvaluateOnColumns(ColumnarLog(test_log), query, explanation);
+}
+
+Result<ExplanationMetrics> Engine::EvaluateOnColumns(
+    const ColumnarLog& columns, const Query& query,
+    const Explanation& explanation) const {
   Query bound = query;
   PX_RETURN_IF_ERROR(bound.Bind(snapshot_->pair_schema()));
   Explanation bound_explanation = explanation;
@@ -676,8 +684,9 @@ Result<ExplanationMetrics> Engine::EvaluateOn(
       bound_explanation.despite.Bind(snapshot_->pair_schema()));
   PX_RETURN_IF_ERROR(
       bound_explanation.because.Bind(snapshot_->pair_schema()));
-  return EvaluateExplanation(test_log, snapshot_->pair_schema(), bound,
-                             bound_explanation, options_.explainer.pair);
+  return EvaluateExplanation(columns, snapshot_->pair_schema(), bound,
+                             bound_explanation, options_.explainer.pair,
+                             EnumerationOptions{options_.explainer.threads});
 }
 
 }  // namespace perfxplain

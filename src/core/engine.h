@@ -385,6 +385,12 @@ class Engine {
   /// race-free; every later call is a plain load.
   const RuleOfThumb& rule_of_thumb() const;
 
+  /// Binds `query` and `explanation` to this snapshot's pair schema and
+  /// measures the explanation over `columns`.
+  Result<ExplanationMetrics> EvaluateOnColumns(
+      const ColumnarLog& columns, const Query& query,
+      const Explanation& explanation) const;
+
   /// Rejects a PreparedQuery that was not prepared against this engine's
   /// snapshot (its compiled programs would point into another log's
   /// columns) — including default-constructed ones.

@@ -31,8 +31,19 @@ struct ExplanationMetrics {
 };
 
 /// Measures relevance, precision and generality of `explanation` for
-/// `query` over every ordered pair in `log`. Predicates must already be
-/// bound to `schema`. Probabilities conditioned on an empty set are 0.
+/// `query` over every ordered pair of `columns`' log. Predicates must
+/// already be bound to `schema`. Probabilities conditioned on an empty set
+/// are 0. `enumeration` sets the pair scan's threads; the metrics do not
+/// depend on it.
+ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
+                                       const PairSchema& schema,
+                                       const Query& bound_query,
+                                       const Explanation& explanation,
+                                       const PairFeatureOptions& options,
+                                       const EnumerationOptions& enumeration);
+
+/// The same over `log`, which is encoded first; the scan uses the default
+/// EnumerationOptions.
 ExplanationMetrics EvaluateExplanation(const ExecutionLog& log,
                                        const PairSchema& schema,
                                        const Query& bound_query,

@@ -1,12 +1,125 @@
 #include "ml/encoded_dataset.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
 
 #include "common/cancel.h"
 #include "features/pair_feature_kernel.h"
 #include "pxql/compiled_predicate.h"
 
 namespace perfxplain {
+
+namespace {
+
+/// Dense ids for numbers in first-seen order, one per == class. A number
+/// is keyed by its bit pattern with -0.0 folded into +0.0, so == classes
+/// are keys (NaN never enters: a base cell is present only when both of
+/// its values are ==). Linear probing at load <= 1/4, so nearly every key
+/// sits in its home slot: callers try Find, which tests that slot only,
+/// before Insert. std::unordered_map and a sort/unique/lower_bound pass
+/// both build the matrix measurably slower (BENCH_micro.json).
+class FirstSeenIds {
+ public:
+  static std::uint64_t Key(double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return (bits << 1) == 0 ? 0 : bits;
+  }
+
+  void Clear() {
+    slots_.assign(kInitialSlots, Slot{});
+    shift_ = 64 - kInitialBits;
+    values_.clear();
+  }
+
+  /// The id of `key` when its home slot holds it, else -1.
+  std::int32_t Find(std::uint64_t key) const {
+    const Slot& slot = slots_[SlotOf(key)];
+    return slot.key == key ? slot.id : -1;
+  }
+
+  /// The id of `key`, assigning the next one when it is new.
+  std::int32_t Insert(std::uint64_t key) {
+    std::size_t at = SlotOf(key);
+    for (; slots_[at].key != kEmpty; at = (at + 1) & (slots_.size() - 1)) {
+      if (slots_[at].key == key) return slots_[at].id;
+    }
+    const auto id = static_cast<std::int32_t>(values_.size());
+    slots_[at] = {key, id};
+    double value = 0.0;
+    std::memcpy(&value, &key, sizeof(value));
+    values_.push_back(value);
+    if (4 * values_.size() > slots_.size()) Grow();
+    return id;
+  }
+
+  /// The numbers by id.
+  const std::vector<double>& values() const { return values_; }
+
+ private:
+  static constexpr int kInitialBits = 6;
+  static constexpr std::size_t kInitialSlots = std::size_t{1} << kInitialBits;
+  /// An all-ones NaN pattern: never the key of a present value.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::int32_t id = -1;
+  };
+
+  std::size_t SlotOf(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Grow() {
+    slots_.assign(2 * slots_.size(), Slot{});
+    --shift_;
+    for (std::size_t id = 0; id < values_.size(); ++id) {
+      const std::uint64_t key = Key(values_[id]);
+      std::size_t at = SlotOf(key);
+      while (slots_[at].key != kEmpty) at = (at + 1) & (slots_.size() - 1);
+      slots_[at] = {key, static_cast<std::int32_t>(id)};
+    }
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 64 - kInitialBits;
+  std::vector<double> values_;
+};
+
+/// Rewrites first-seen ids (negative = missing, kept) as ranks of the
+/// ascending distinct values and returns those values. Sorts only the
+/// distinct values; the cells are rewritten only when first-seen order was
+/// not already ascending.
+std::vector<double> RankFirstSeen(const std::vector<double>& first_seen,
+                                  std::vector<std::int32_t>& ids) {
+  if (first_seen.size() <= 1) return first_seen;
+  std::vector<std::int32_t> order(first_seen.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](std::int32_t a, std::int32_t b) {
+              return first_seen[a] < first_seen[b];
+            });
+  std::vector<double> distinct(order.size());
+  std::vector<std::int32_t> rank_of(order.size());
+  bool ascending = true;
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    distinct[rank] = first_seen[order[rank]];
+    rank_of[order[rank]] = static_cast<std::int32_t>(rank);
+    ascending = ascending && order[rank] == static_cast<std::int32_t>(rank);
+  }
+  if (!ascending) {
+    // Shifted by one, so missing cells (-1) map to -1 without a branch.
+    std::vector<std::int32_t> shifted(1, -1);
+    shifted.insert(shifted.end(), rank_of.begin(), rank_of.end());
+    for (std::int32_t& id : ids) id = shifted[id + 1];
+  }
+  return distinct;
+}
+
+}  // namespace
 
 EncodedDataset::EncodedDataset(const ColumnarLog& columns,
                                const PairSchema& schema,
@@ -26,6 +139,7 @@ EncodedDataset::EncodedDataset(const ColumnarLog& columns,
   // of a nominal one), loading each pair's inputs once. Undefined features
   // get no column and decode to missing.
   features_.resize(schema.size());
+  FirstSeenIds ids;
   for (std::size_t raw = 0; raw < schema.raw_size(); ++raw) {
     ThrowIfInterrupted();
     FeatureColumn& base =
@@ -34,9 +148,8 @@ EncodedDataset::EncodedDataset(const ColumnarLog& columns,
     if (columns.is_numeric(raw)) {
       const NumericColumn& c = columns.numeric_column(raw);
       std::vector<std::int8_t> compare(m);
-      base.numeric = true;
-      base.values.assign(m, 0.0);
-      base.present = PresenceBitmap(m);
+      std::vector<std::int32_t> ranks(m);
+      ids.Clear();
       for (std::size_t r = 0; r < m; ++r) {
         const std::size_t i = pairs_[r].first;
         const std::size_t j = pairs_[r].second;
@@ -50,13 +163,19 @@ EncodedDataset::EncodedDataset(const ColumnarLog& columns,
                                             sim_fraction);
         const kernel::BaseNumericResult shared =
             kernel::BaseNumeric(x_present, x, y_present, y);
+        std::int32_t id = -1;
         if (shared.present) {
-          base.values[r] = shared.value;
-          base.present.Set(r);
+          const std::uint64_t key = FirstSeenIds::Key(shared.value);
+          id = ids.Find(key);
+          if (id < 0) id = ids.Insert(key);
         }
+        ranks[r] = id;
       }
       features_[schema.IndexOf(PairFeatureKind::kCompare, raw)].codes =
           std::move(compare);
+      base.numeric = true;
+      base.distinct = RankFirstSeen(ids.values(), ranks);
+      base.codes = std::move(ranks);
     } else {
       const std::vector<std::int32_t>& c = columns.nominal_column(raw).codes;
       std::vector<std::int64_t> diff(m);
@@ -85,8 +204,7 @@ std::size_t EncodedDataset::MatrixBytes() const {
           return codes.capacity() * sizeof(codes[0]);
         },
         column.codes);
-    bytes += column.values.capacity() * sizeof(double) +
-             column.present.words().capacity() * sizeof(std::uint64_t);
+    bytes += column.distinct.capacity() * sizeof(double);
   }
   return bytes;
 }
@@ -96,8 +214,9 @@ Value EncodedDataset::DecodeValue(std::size_t pair_index,
   const FeatureColumn& column = features_[pair_index];
   if (!schema_->IsDefined(pair_index)) return Value::Missing();
   if (column.numeric) {
-    if (!column.present.Test(row)) return Value::Missing();
-    return Value::Number(column.values[row]);
+    const std::int32_t rank = NumericRanks(pair_index)[row];
+    if (rank < 0) return Value::Missing();
+    return Value::Number(column.distinct[rank]);
   }
   return DecodeCode(pair_index, Code(pair_index, row));
 }
@@ -137,7 +256,54 @@ EncodedAtomTest::EncodedAtomTest(const EncodedDataset& data,
       always_false_ = true;  // kind mismatch (or missing constant)
       return;
     }
-    num_const_ = constant.number();
+    // The present values satisfying `op c` are one interval of the
+    // ascending dictionary, [lower, upper) for = and its complement for !=.
+    const std::vector<double>& distinct = data.NumericDistinct(pair_index_);
+    const double c = constant.number();
+    const auto rank = [&](auto it) {
+      return static_cast<std::int32_t>(it - distinct.begin());
+    };
+    const std::int32_t size = rank(distinct.end());
+    const std::int32_t lower =
+        rank(std::lower_bound(distinct.begin(), distinct.end(), c));
+    const std::int32_t upper =
+        rank(std::upper_bound(distinct.begin(), distinct.end(), c));
+    std::int32_t end = 0;
+    if (std::isnan(c)) {
+      // Nothing compares true with NaN; every present value is != it.
+      if (op_ != CompareOp::kNe) {
+        always_false_ = true;
+        return;
+      }
+      end = size;
+    } else {
+      switch (op_) {
+        case CompareOp::kEq:
+          rank_lo_ = lower;
+          end = upper;
+          break;
+        case CompareOp::kNe:
+          rank_lo_ = lower;
+          end = upper;
+          rank_complement_ = true;
+          break;
+        case CompareOp::kLt:
+          end = lower;
+          break;
+        case CompareOp::kLe:
+          end = upper;
+          break;
+        case CompareOp::kGt:
+          rank_lo_ = upper;
+          end = size;
+          break;
+        case CompareOp::kGe:
+          rank_lo_ = lower;
+          end = size;
+          break;
+      }
+    }
+    rank_span_ = static_cast<std::uint32_t>(end - rank_lo_);
     return;
   }
 
@@ -194,11 +360,7 @@ bool EncodedAtomTest::MatchesCode(std::int64_t code) const {
 bool EncodedAtomTest::Matches(const EncodedDataset& data,
                               std::size_t row) const {
   if (always_false_) return false;
-  if (numeric_) {
-    if (!data.NumericPresent(pair_index_, row)) return false;
-    return CompareDoubles(op_, data.NumericValues(pair_index_)[row],
-                          num_const_);
-  }
+  if (numeric_) return MatchesRank(data.NumericRanks(pair_index_)[row]);
   return MatchesCode(data.Code(pair_index_, row));
 }
 
@@ -227,16 +389,8 @@ PresenceBitmap EncodedAtomTest::MatchingRows(
   const std::size_t n = data.rows();
   if (always_false_) return PresenceBitmap(n);
   if (numeric_) {
-    const std::vector<double>& values = data.NumericValues(pair_index_);
-    PresenceBitmap rows = PackRows(n, [&](std::size_t r) {
-      return CompareDoubles(op_, values[r], num_const_);
-    });
-    const std::vector<std::uint64_t>& present =
-        data.NumericPresence(pair_index_).words();
-    for (std::size_t w = 0; w < present.size(); ++w) {
-      rows.words()[w] &= present[w];
-    }
-    return rows;
+    const std::vector<std::int32_t>& ranks = data.NumericRanks(pair_index_);
+    return PackRows(n, [&](std::size_t r) { return MatchesRank(ranks[r]); });
   }
   return data.VisitCodes(pair_index_, [&](const auto& codes) {
     if (op_ == CompareOp::kEq && code_targets_.size() == 1) {

@@ -13,6 +13,13 @@
 
 namespace perfxplain {
 
+/// The representative of a number's == class: +0.0 for either zero, the
+/// number itself otherwise. Rank dictionaries and threshold constants hold
+/// zeros this way, so neither depends on which zero a row carried.
+inline double CanonicalZero(double value) {
+  return value == 0.0 ? 0.0 : value;
+}
+
 /// A column-major, integer-coded training matrix: one column per defined
 /// Table 1 pair feature, one row per sampled training pair. Built from a
 /// ColumnarLog via the pair-feature kernels, so no Value is ever
@@ -24,7 +31,13 @@ namespace perfxplain {
 ///    (left,right) interner-code pairs for diff, int32 interner codes for
 ///    nominal base. Negative = missing. Equal codes <=> equal Values, except
 ///    that distinct diff codes can render to the same string.
-///  - numeric base features are double arrays with a presence bitmap.
+///  - numeric base features are order-preserving dictionaries: the
+///    column's ascending distinct present values (deduplicated by ==, so
+///    -0.0 and +0.0 share one entry whose value is +0.0) and an int32 rank
+///    per row into them, -1 when the cell is missing. A cell decodes as
+///    distinct[rank], and every comparison with a constant is a rank
+///    interval test. The dictionary is built per dataset: a first-seen
+///    hash over the present cells, then a sort of the distinct values only.
 ///  - undefined features (compare of a nominal raw feature, diff of a
 ///    numeric one) store nothing; every cell decodes to missing.
 ///
@@ -43,7 +56,7 @@ class EncodedDataset {
   /// Per-row observed/expected labels (1 = observed).
   const std::vector<std::uint8_t>& labels() const { return labels_; }
 
-  /// True when the pair feature holds doubles (base feature of a numeric
+  /// True when the pair feature is a rank column (base feature of a numeric
   /// raw feature); all other defined features are code columns.
   bool IsNumericFeature(std::size_t pair_index) const {
     return features_[pair_index].numeric;
@@ -60,17 +73,17 @@ class EncodedDataset {
   decltype(auto) VisitCodes(std::size_t pair_index, Fn&& fn) const {
     return std::visit(std::forward<Fn>(fn), features_[pair_index].codes);
   }
-  const std::vector<double>& NumericValues(std::size_t pair_index) const {
-    return features_[pair_index].values;
+  /// Per-row ranks of a numeric column into NumericDistinct (-1 = missing).
+  const std::vector<std::int32_t>& NumericRanks(std::size_t pair_index) const {
+    return std::get<std::vector<std::int32_t>>(features_[pair_index].codes);
   }
-  const PresenceBitmap& NumericPresence(std::size_t pair_index) const {
-    return features_[pair_index].present;
-  }
-  bool NumericPresent(std::size_t pair_index, std::size_t row) const {
-    return features_[pair_index].present.Test(row);
+  /// Ascending distinct present values of a numeric column.
+  const std::vector<double>& NumericDistinct(std::size_t pair_index) const {
+    return features_[pair_index].distinct;
   }
 
-  /// Heap bytes of the matrix columns (labels and pair refs excluded).
+  /// Heap bytes of the matrix columns, rank dictionaries included (labels
+  /// and pair refs excluded).
   std::size_t MatrixBytes() const;
 
   /// Decodes a cell (or a code of the column) back to the exact Value the
@@ -81,11 +94,11 @@ class EncodedDataset {
  private:
   struct FeatureColumn {
     bool numeric = false;
+    /// Codes, or a numeric column's ranks (int32).
     std::variant<std::vector<std::int8_t>, std::vector<std::int32_t>,
                  std::vector<std::int64_t>>
         codes;
-    std::vector<double> values;
-    PresenceBitmap present;
+    std::vector<double> distinct;  ///< numeric columns only
   };
 
   const PairSchema* schema_;
@@ -99,6 +112,11 @@ class EncodedDataset {
 /// the encoded columns without materializing Values. Exact for every
 /// operator, including atoms whose constants the dictionary has never seen
 /// (they match nothing for =, everything present for != of the same kind).
+/// A numeric atom compares ranks: the present values satisfying `op c`
+/// form one interval of the ascending dictionary (for example `f <= c`
+/// holds exactly when rank < upper_bound(c)), and `f != c` is the
+/// complement of the `f = c` interval among present rows; a NaN constant
+/// matches nothing except under !=.
 class EncodedAtomTest {
  public:
   EncodedAtomTest(const EncodedDataset& data, const Atom& atom);
@@ -110,6 +128,10 @@ class EncodedAtomTest {
 
  private:
   bool MatchesCode(std::int64_t code) const;
+  bool MatchesRank(std::int32_t rank) const {
+    const bool in = static_cast<std::uint32_t>(rank - rank_lo_) < rank_span_;
+    return rank_complement_ ? rank >= 0 && !in : in;
+  }
 
   std::size_t pair_index_ = 0;
   bool numeric_ = false;
@@ -117,7 +139,11 @@ class EncodedAtomTest {
   bool always_false_ = false;
   /// Codes equal to the atom constant (several for ambiguous diff strings).
   std::vector<std::int64_t> code_targets_;
-  double num_const_ = 0.0;
+  /// Numeric atoms: the matching ranks are [rank_lo_, rank_lo_ +
+  /// rank_span_), or every other present rank when rank_complement_.
+  std::int32_t rank_lo_ = 0;
+  std::uint32_t rank_span_ = 0;
+  bool rank_complement_ = false;
 };
 
 }  // namespace perfxplain

@@ -36,61 +36,74 @@ void Consider(const PairSchema& schema, std::size_t pair_index, CompareOp op,
   }
 }
 
-/// One (value, label) observation entering the threshold scan.
-struct ThresholdPoint {
+/// One distinct present value of a numeric feature in the working set,
+/// with the number of examples holding it and how many are positive.
+struct ThresholdBin {
   double value;
-  bool positive;
+  std::size_t total;
+  std::size_t positive;
 };
+
+/// Adds `c` to the ascending distinct `thresholds` unless it is there.
+void InsertThreshold(std::vector<double>& thresholds, double c) {
+  const double canonical = CanonicalZero(c);
+  const auto at =
+      std::lower_bound(thresholds.begin(), thresholds.end(), canonical);
+  if (at == thresholds.end() || *at != canonical) {
+    thresholds.insert(at, canonical);
+  }
+}
 
 /// The C4.5-style threshold scan shared by the Value and encoded searches:
 /// one ascending pass produces the gains of all `f <= c` and `f >= c`
-/// candidates. Midpoints between adjacent distinct values are used as
-/// thresholds, plus the pair of interest's own value so `f <= poi` /
-/// `f >= poi` are always candidates. Callers extract `points` (the present
-/// values) and the working set's totals `n_total` / `n_positive` from their
-/// representation; everything downstream is this single definition, so the
-/// paths cannot drift apart.
+/// candidates. Callers collapse the working set's present values into
+/// `bins` (ascending, distinct by ==) and pass the working set's totals
+/// `n_total` / `n_positive`; everything downstream is this single
+/// definition, so the paths cannot drift apart.
+///
+/// Thresholds are the midpoints between adjacent bins, the extreme bins'
+/// values and the pair of interest's value (so `f <= poi` / `f >= poi` are
+/// always candidates), visited ascending and distinct, with zeros as +0.0.
+/// Midpoints of ascending values never decrease, so the list is built
+/// without sorting; the one NaN midpoint (between -inf and +inf) is
+/// dropped, as no value compares true with it and it would break the
+/// list's order.
 void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
-                           std::vector<ThresholdPoint>& points,
+                           const std::vector<ThresholdBin>& bins,
                            std::size_t n_total, std::size_t n_positive,
                            bool have_poi, double poi,
                            const SplitOptions& options,
                            std::optional<SplitCandidate>& best) {
-  using Point = ThresholdPoint;
-  if (points.empty()) return;
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) { return a.value < b.value; });
-
+  if (bins.empty()) return;
+  std::size_t points_total = 0;
   std::size_t points_positive = 0;
-  for (const Point& p : points) {
-    if (p.positive) ++points_positive;
+  for (const ThresholdBin& bin : bins) {
+    points_total += bin.total;
+    points_positive += bin.positive;
   }
 
-  // Candidate thresholds: midpoints between adjacent distinct values, the
-  // extremes, and the pair of interest's value.
   std::vector<double> thresholds;
-  thresholds.reserve(points.size() + 2);
-  for (std::size_t i = 0; i + 1 < points.size(); ++i) {
-    if (points[i].value != points[i + 1].value) {
-      thresholds.push_back((points[i].value + points[i + 1].value) / 2.0);
+  thresholds.reserve(bins.size() + 2);
+  for (std::size_t i = 0; i + 1 < bins.size(); ++i) {
+    const double mid = (bins[i].value + bins[i + 1].value) / 2.0;
+    if (std::isnan(mid)) continue;
+    if (thresholds.empty() || thresholds.back() < mid) {
+      thresholds.push_back(CanonicalZero(mid));
     }
   }
-  thresholds.push_back(points.front().value);
-  thresholds.push_back(points.back().value);
-  if (have_poi) thresholds.push_back(poi);
-  std::sort(thresholds.begin(), thresholds.end());
-  thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
-                   thresholds.end());
+  InsertThreshold(thresholds, bins.front().value);
+  InsertThreshold(thresholds, bins.back().value);
+  if (have_poi && !std::isnan(poi)) InsertThreshold(thresholds, poi);
 
-  // Prefix scan: for each threshold c, in-set of `f <= c` is the prefix of
-  // points with value <= c; missing-valued examples are always out.
+  // Prefix scan: for each threshold c, the in-set of `f <= c` is the bins
+  // with value <= c; missing-valued examples are always out.
   std::size_t prefix_total = 0;
   std::size_t prefix_positive = 0;
   std::size_t cursor = 0;
   for (double c : thresholds) {
-    while (cursor < points.size() && points[cursor].value <= c) {
-      ++prefix_total;
-      if (points[cursor].positive) ++prefix_positive;
+    while (cursor < bins.size() && bins[cursor].value <= c) {
+      prefix_total += bins[cursor].total;
+      prefix_positive += bins[cursor].positive;
       ++cursor;
     }
     // f <= c; applicable iff poi <= c.
@@ -105,26 +118,17 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
                  counts, best);
       }
     }
-    // f >= c; in-set is the suffix with value >= c. Because thresholds fall
-    // between distinct values or on values, the suffix is everything not in
-    // the strict prefix of values < c; recompute via the complement of the
-    // prefix of values <= c when c is not an observed value. To stay exact
-    // we count the suffix directly from the prefix of values < c.
+    // f >= c; the in-set is every bin not below c. The prefix holds the
+    // bins <= c, of which at most the last equals c.
     if (!options.constrain_to_pair || (have_poi && poi >= c)) {
-      // Count of points with value < c: step an independent scan would cost
-      // O(n) per threshold; instead note that points with value < c equals
-      // prefix_total minus points exactly equal to c that were consumed.
-      std::size_t eq_total = 0;
-      std::size_t eq_positive = 0;
-      for (std::size_t k = cursor; k-- > 0;) {
-        if (points[k].value != c) break;
-        ++eq_total;
-        if (points[k].positive) ++eq_positive;
+      std::size_t lt_total = prefix_total;
+      std::size_t lt_positive = prefix_positive;
+      if (cursor > 0 && bins[cursor - 1].value == c) {
+        lt_total -= bins[cursor - 1].total;
+        lt_positive -= bins[cursor - 1].positive;
       }
-      const std::size_t lt_total = prefix_total - eq_total;
-      const std::size_t lt_positive = prefix_positive - eq_positive;
       SplitCounts counts;
-      counts.in_total = points.size() - lt_total;
+      counts.in_total = points_total - lt_total;
       counts.in_positive = points_positive - lt_positive;
       counts.out_total = n_total - counts.in_total;
       counts.out_positive = n_positive - counts.in_positive;
@@ -136,13 +140,45 @@ void ScanNumericThresholds(const PairSchema& schema, std::size_t pair_index,
   }
 }
 
-/// Value-path point extraction for the shared threshold scan.
+/// Example counts per rank of one numeric column, in rank order, which is
+/// value order: its nonzero entries are already the scan's bins.
+class RankHistogram {
+ public:
+  explicit RankHistogram(std::size_t ranks)
+      : total_(ranks), positive_(ranks) {}
+
+  void Add(std::int32_t rank, bool positive) {
+    ++total_[rank];
+    positive_[rank] += positive;
+  }
+
+  std::vector<ThresholdBin> Bins(const std::vector<double>& distinct) const {
+    std::vector<ThresholdBin> bins;
+    for (std::size_t rank = 0; rank < distinct.size(); ++rank) {
+      if (total_[rank] != 0) {
+        bins.push_back({distinct[rank], total_[rank], positive_[rank]});
+      }
+    }
+    return bins;
+  }
+
+ private:
+  std::vector<std::uint32_t> total_;
+  std::vector<std::uint32_t> positive_;
+};
+
+/// Value-path bins for the shared threshold scan: sorts the present
+/// values, then collapses each == run into one bin.
 void SearchNumericThresholds(const PairSchema& schema,
                              const std::vector<TrainingExample>& examples,
                              std::size_t pair_index, const Value& poi_value,
                              const SplitOptions& options,
                              std::optional<SplitCandidate>& best) {
-  std::vector<ThresholdPoint> points;
+  struct Point {
+    double value;
+    bool positive;
+  };
+  std::vector<Point> points;
   points.reserve(examples.size());
   std::size_t n_positive = 0;
   for (const TrainingExample& example : examples) {
@@ -150,9 +186,19 @@ void SearchNumericThresholds(const PairSchema& schema,
     if (v.is_numeric()) points.push_back({v.number(), example.observed});
     if (example.observed) ++n_positive;
   }
+  std::sort(points.begin(), points.end(),
+            [](const Point& a, const Point& b) { return a.value < b.value; });
+  std::vector<ThresholdBin> bins;
+  for (const Point& point : points) {
+    if (bins.empty() || bins.back().value != point.value) {
+      bins.push_back({point.value, 0, 0});
+    }
+    ++bins.back().total;
+    if (point.positive) ++bins.back().positive;
+  }
   const bool have_poi = poi_value.is_numeric();
   const double poi = have_poi ? poi_value.number() : 0.0;
-  ScanNumericThresholds(schema, pair_index, points, examples.size(),
+  ScanNumericThresholds(schema, pair_index, bins, examples.size(),
                         n_positive, have_poi, poi, options, best);
 }
 
@@ -172,18 +218,18 @@ std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
   options.min_support = min_support;
 
   if (data.IsNumericFeature(pair_index)) {
-    std::vector<ThresholdPoint> points;
-    points.reserve(rows.size());
+    const std::vector<std::int32_t>& ranks = data.NumericRanks(pair_index);
+    const std::vector<double>& distinct = data.NumericDistinct(pair_index);
+    RankHistogram histogram(distinct.size());
     std::size_t n_positive = 0;
-    const std::vector<double>& values = data.NumericValues(pair_index);
     for (std::uint32_t r : rows) {
-      if (data.NumericPresent(pair_index, r)) {
-        points.push_back({values[r], labels[r] != 0});
-      }
-      if (labels[r] != 0) ++n_positive;
+      const bool label = labels[r] != 0;
+      n_positive += label;
+      if (ranks[r] >= 0) histogram.Add(ranks[r], label);
     }
-    ScanNumericThresholds(schema, pair_index, points, rows.size(),
-                          n_positive, /*have_poi=*/false, 0.0, options, best);
+    ScanNumericThresholds(schema, pair_index, histogram.Bins(distinct),
+                          rows.size(), n_positive, /*have_poi=*/false, 0.0,
+                          options, best);
     return best;
   }
 
@@ -293,22 +339,22 @@ std::optional<SplitCandidate> EncodedClauseSearch::BestPredicate(
   }
   if (!data_->IsNumericFeature(f)) return best;
 
-  // Threshold points: the present values of the working set, in row order.
-  std::vector<ThresholdPoint> points;
-  points.reserve(working_total_);
-  const std::vector<double>& values = data_->NumericValues(f);
-  const std::vector<std::uint64_t>& present =
-      data_->NumericPresence(f).words();
+  // Threshold bins: a rank histogram over the working set's present rows.
+  const std::vector<std::int32_t>& ranks = data_->NumericRanks(f);
+  const std::vector<double>& distinct = data_->NumericDistinct(f);
+  RankHistogram histogram(distinct.size());
   const std::vector<std::uint64_t>& working = working_.words();
-  for (std::size_t w = 0; w < present.size(); ++w) {
-    for (std::uint64_t bits = present[w] & working[w]; bits != 0;
-         bits &= bits - 1) {
-      const std::size_t r = w * 64 + kernel::CountTrailingZeros(bits);
-      points.push_back({values[r], labels_.Test(r)});
+  const std::vector<std::uint64_t>& labels = labels_.words();
+  for (std::size_t w = 0; w < working.size(); ++w) {
+    for (std::uint64_t bits = working[w]; bits != 0; bits &= bits - 1) {
+      const int bit = kernel::CountTrailingZeros(bits);
+      const std::int32_t rank = ranks[w * 64 + bit];
+      if (rank >= 0) histogram.Add(rank, (labels[w] >> bit) & 1);
     }
   }
-  ScanNumericThresholds(schema, f, points, working_total_, working_positive_,
-                        /*have_poi=*/true, poi.value.number(), options, best);
+  ScanNumericThresholds(schema, f, histogram.Bins(distinct), working_total_,
+                        working_positive_, /*have_poi=*/true,
+                        poi.value.number(), options, best);
   return best;
 }
 
@@ -375,18 +421,22 @@ std::optional<SplitCandidate> BestPredicateForFeature(
   }
 
   // Numeric feature: equality on the pair's value plus threshold tests.
-  if (options.constrain_to_pair || poi_value.is_numeric()) {
+  // A zero constant is +0.0 whichever zero the pair holds, as in the
+  // encoded search's dictionary.
+  const Value poi = poi_value.is_numeric()
+                        ? Value::Number(CanonicalZero(poi_value.number()))
+                        : poi_value;
+  if (options.constrain_to_pair || poi.is_numeric()) {
     const SplitCounts counts =
         CountSplit(examples, [&](const TrainingExample& e) {
           return !e.features[pair_index].is_missing() &&
-                 e.features[pair_index] == poi_value;
+                 e.features[pair_index] == poi;
         });
     if (counts.in_total >= std::max<std::size_t>(1, options.min_support)) {
-      Consider(schema, pair_index, CompareOp::kEq, poi_value, counts, best);
+      Consider(schema, pair_index, CompareOp::kEq, poi, counts, best);
     }
   }
-  SearchNumericThresholds(schema, examples, pair_index, poi_value, options,
-                          best);
+  SearchNumericThresholds(schema, examples, pair_index, poi, options, best);
   return best;
 }
 

@@ -48,7 +48,8 @@ struct SplitOptions {
 /// between adjacent distinct observed values (C4.5-style); under the
 /// constraint, <= thresholds must be at or above the pair's value and >=
 /// thresholds at or below it. Examples whose value is missing never satisfy
-/// a candidate.
+/// a candidate. Numeric constants hold zero as +0.0, whichever zero the
+/// pair of interest or the examples carry.
 ///
 /// `poi_value` is the pair of interest's value for this feature. Returns
 /// nullopt when the feature yields no usable candidate (e.g., the pair's
@@ -62,8 +63,8 @@ std::optional<SplitCandidate> BestPredicateForFeature(
 /// BestPredicateForFeature with constrain_to_pair = false, over an
 /// integer-coded training matrix. `rows` is the current working set
 /// (dataset row indices, in order) and `labels` the per-dataset-row
-/// positive flags. Produces bit-identical candidates and gains to the Value
-/// path.
+/// positive flags. Numeric threshold bins come from a rank histogram over
+/// `rows`. Produces bit-identical candidates and gains to the Value path.
 std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
     const EncodedDataset& data, const std::vector<std::uint32_t>& rows,
     const std::vector<std::uint8_t>& labels, std::size_t pair_index,
@@ -78,8 +79,9 @@ std::optional<SplitCandidate> BestPredicateForFeatureEncoded(
 /// of the rows equal to it (diff features include every code that renders
 /// the same string), built once. A candidate's counts are then
 /// popcount(match & working) and popcount(match & working & label).
-/// Numeric features count `= poi` the same way and gather threshold points
-/// only from the set bits of present & working. Bit-identical to
+/// Numeric features count `= poi` the same way (the rows holding the pair's
+/// rank) and fill their threshold bins from a rank histogram over the set
+/// bits of working, so no step sorts. Bit-identical to
 /// BestPredicateForFeature over the same examples.
 class EncodedClauseSearch {
  public:

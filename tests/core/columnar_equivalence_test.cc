@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <set>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -117,15 +119,24 @@ Result<std::vector<TrainingExample>> ReferenceBuildTrainingExamples(
 }
 
 /// A log exercising the awkward cases: missing values, exact zeros, NaN,
-/// similar-but-unequal numerics and comma-bearing nominals.
+/// similar-but-unequal numerics and comma-bearing nominals. Column z holds
+/// -0.0 and +0.0 (equal under ==, different in sign), both infinities and
+/// long runs of duplicates; it draws from its own Rng, so the other columns
+/// are what they were before it was added.
 ExecutionLog AwkwardRandomLog(std::uint64_t seed, std::size_t n) {
   Schema schema;
   PX_CHECK(schema.Add("x", ValueKind::kNumeric).ok());
   PX_CHECK(schema.Add("color", ValueKind::kNominal).ok());
   PX_CHECK(schema.Add("y", ValueKind::kNumeric).ok());
   PX_CHECK(schema.Add("duration", ValueKind::kNumeric).ok());
+  PX_CHECK(schema.Add("z", ValueKind::kNumeric).ok());
   ExecutionLog log(schema);
   Rng rng(seed);
+  Rng z_rng(seed ^ 0x5bd1e995u);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double z_negative[] = {-0.0, -inf, -1.0};
+  const double z_positive[] = {0.0, inf, 2.5};
+  std::int64_t z_run = 0;
   const char* colors[] = {"red", "blue", "re,d"};
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<Value> values;
@@ -142,6 +153,16 @@ ExecutionLog AwkwardRandomLog(std::uint64_t seed, std::size_t n) {
     values.push_back(rng.Bernoulli(0.1)
                          ? Value::Missing()
                          : Value::Number(rng.Uniform(50.0, 200.0)));
+    // A new z run starts about one row in six; within a run the sign
+    // follows the row's duration, so z carries signal and a run of zeros
+    // mixes -0.0 and +0.0.
+    if (z_rng.Bernoulli(1.0 / 6.0)) z_run = z_rng.UniformInt(0, 2);
+    const Value& duration = values.back();
+    const bool negative = duration.is_numeric() && duration.number() > 125.0;
+    values.push_back(z_rng.Bernoulli(0.1)
+                         ? Value::Missing()
+                         : Value::Number(negative ? z_negative[z_run]
+                                                  : z_positive[z_run]));
     PX_CHECK(log.Add(ExecutionRecord(StrFormat("r%03zu", i),
                                      std::move(values)))
                  .ok());
@@ -394,15 +415,24 @@ TEST(ColumnarEquivalenceTest, EncodedExplainMatchesValuePipeline) {
 /// Clause-level equivalence: GenerateClause over the encoded training
 /// matrix (the bitmap clause search) must reproduce the Value path exactly
 /// — atom, info gain, score, and the precision and generality after each
-/// filter — on awkward logs (missing values, NaN, exact zeros,
-/// comma-bearing nominals), at widths 1-4, for bec and des' clauses, with
-/// and without score normalization. Without normalization the score is the
-/// raw precision/generality blend, so a miscounted candidate cannot hide
-/// behind an unchanged percentile rank.
+/// filter — on awkward logs (missing values, NaN, signed zeros, infinities,
+/// duplicate runs, comma-bearing nominals), at widths 1-4, for bec and des'
+/// clauses, with and without score normalization. Without normalization
+/// the score is the raw precision/generality blend, so a miscounted
+/// candidate cannot hide behind an unchanged percentile rank. Atom ==
+/// compares constants with Value ==, under which -0.0 equals +0.0, so each
+/// numeric constant's sign bit and its rendering are compared as well.
 TEST(ColumnarEquivalenceTest, ClauseSearchMatchesValuePathExactly) {
   std::size_t compared = 0;
+  std::size_t z_atoms = 0;
   for (std::uint64_t seed : {61u, 62u, 63u, 64u, 65u, 66u, 67u, 68u}) {
     const ExecutionLog log = AwkwardRandomLog(seed, 40);
+    std::set<std::size_t> z_feature;
+    {
+      const PairSchema schema(log.schema());
+      z_feature.insert(schema.IndexOf(PairFeatureKind::kBase,
+                                      log.schema().IndexOf("z")));
+    }
     Query query = AwkwardQuery();
     {
       const PairSchema schema(log.schema());
@@ -445,6 +475,18 @@ TEST(ColumnarEquivalenceTest, ClauseSearchMatchesValuePathExactly) {
             EXPECT_EQ(got[a].atom, want[a].atom)
                 << context << ": " << got[a].atom.ToString() << " vs "
                 << want[a].atom.ToString();
+            EXPECT_EQ(got[a].atom.ToString(), want[a].atom.ToString())
+                << context;
+            const Value& constant = got[a].atom.constant();
+            if (constant.is_numeric() &&
+                want[a].atom.constant().is_numeric()) {
+              EXPECT_EQ(std::signbit(constant.number()),
+                        std::signbit(want[a].atom.constant().number()))
+                  << context << ": " << got[a].atom.ToString();
+              if (z_feature.count(got[a].atom.pair_index()) > 0) {
+                ++z_atoms;
+              }
+            }
             EXPECT_EQ(got[a].info_gain, want[a].info_gain) << context;
             EXPECT_EQ(got[a].score, want[a].score) << context;
             EXPECT_EQ(got[a].metric_after, want[a].metric_after) << context;
@@ -457,6 +499,7 @@ TEST(ColumnarEquivalenceTest, ClauseSearchMatchesValuePathExactly) {
     }
   }
   EXPECT_GT(compared, 100u);
+  EXPECT_GT(z_atoms, 0u);  // the signed-zero column entered some clauses
 }
 
 TEST(ColumnarEquivalenceTest, ExplanationsInvariantUnderThreadCount) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
+#include "core/metrics.h"
 #include "core/pair_enumeration.h"
 #include "core/perfxplain.h"
 #include "log/catalog.h"
@@ -286,6 +288,74 @@ TEST_F(EndToEndTest, AutoDespiteImprovesRelevanceOnJobQuery) {
       trace_->job_log, system.pair_schema(), bound, generated,
       PairFeatureOptions());
   EXPECT_GT(after, before);
+}
+
+/// Engine::Evaluate measures over the snapshot's own columns, scanning with
+/// the engine's thread count. Its metrics must equal EvaluateExplanation
+/// over the ExecutionLog, which encodes the log afresh, in every field and
+/// at every thread count, on both the task and the job log.
+TEST_F(EndToEndTest, EngineEvaluateMatchesLogEvaluation) {
+  const Schema& task_schema = trace_->task_log.schema();
+  const std::size_t f_type = task_schema.IndexOf(feature_names::kTaskType);
+  const std::size_t f_maps = task_schema.IndexOf(feature_names::kNumMapTasks);
+  const std::size_t f_instances =
+      task_schema.IndexOf(feature_names::kNumInstances);
+  const ExecutionLog tasks = trace_->task_log.Filter(
+      [&](const ExecutionRecord& record) {
+        return record.values[f_type].nominal() == "map" &&
+               record.values[f_maps].number() >=
+                   3 * 2 * record.values[f_instances].number();
+      });
+  struct Case {
+    const ExecutionLog* log;
+    Query query;
+  };
+  const std::vector<Case> cases = {
+      {&tasks,
+       BindAndLocate(tasks,
+                     "DESPITE jobID_isSame = T AND inputsize_compare = SIM "
+                     "AND hostname_isSame = T "
+                     "OBSERVED duration_compare = LT "
+                     "EXPECTED duration_compare = SIM",
+                     "wave_index_compare = GT AND avg_cpu_user_compare = LT")},
+      {&trace_->job_log,
+       BindAndLocate(trace_->job_log,
+                     "DESPITE numinstances_isSame = T AND "
+                     "pigscript_isSame = T "
+                     "OBSERVED duration_compare = GT "
+                     "EXPECTED duration_compare = SIM",
+                     "inputsize_compare = GT")}};
+  for (const Case& test_case : cases) {
+    const PairSchema schema(test_case.log->schema());
+    for (int threads : {1, 2, 4}) {
+      EngineOptions options;
+      options.explainer.threads = threads;
+      const Engine engine(*test_case.log, options);
+      auto prepared = engine.Prepare(test_case.query);
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      auto response = engine.Explain(*prepared);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      auto got = engine.Evaluate(*prepared, response->explanation);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+      Explanation bound = response->explanation;
+      ASSERT_TRUE(bound.despite.Bind(schema).ok());
+      ASSERT_TRUE(bound.because.Bind(schema).ok());
+      const ExplanationMetrics want =
+          EvaluateExplanation(*test_case.log, schema, prepared->bound(), bound,
+                              options.explainer.pair);
+      const std::string context =
+          bound.because.ToString() + " threads=" + std::to_string(threads);
+      EXPECT_EQ(got->relevance, want.relevance) << context;
+      EXPECT_EQ(got->precision, want.precision) << context;
+      EXPECT_EQ(got->generality, want.generality) << context;
+      EXPECT_EQ(got->pairs_despite, want.pairs_despite) << context;
+      EXPECT_EQ(got->pairs_despite_exp, want.pairs_despite_exp) << context;
+      EXPECT_EQ(got->pairs_because, want.pairs_because) << context;
+      EXPECT_EQ(got->pairs_because_obs, want.pairs_because_obs) << context;
+      EXPECT_GT(want.pairs_because, 0u) << context;
+    }
+  }
 }
 
 }  // namespace
