@@ -18,6 +18,7 @@
 
 #include "core/engine.h"
 #include "core/explainer.h"
+#include "core/metrics.h"
 #include "core/pair_enumeration.h"
 #include "common/string_util.h"
 #include "harness.h"
@@ -573,6 +574,69 @@ void BM_ClauseSearch(benchmark::State& state) {
       encoded->rows()));
 }
 BENCHMARK(BM_ClauseSearch)->Arg(0)->Arg(1)->Arg(2);
+
+/// The related-pair index on the §6.2 task query over the task log (about
+/// 1,890 rows, 26 K candidate pairs). Arg 0 selects the layer: 0 = a
+/// PerfXplain sample by scan and replay (SampleRelatedPairs, what every
+/// request paid before the index), 1 = the same sample replayed from the
+/// snapshot's index, 2 = Evaluate of the engine's explanation over the
+/// index, 3 = the same Evaluate by a scan (EvaluateExplanation over the
+/// columns). /0 and /1 return identical samples, /2 and /3 identical
+/// metrics. Scans use the default thread count; index_bytes is the
+/// index's size.
+void BM_RelatedPairIndex(benchmark::State& state) {
+  static const px::bench::Fixture& fixture = *new px::bench::Fixture(
+      px::bench::Fixture::TaskLevel(px::bench::HarnessOptions{}));
+  const px::Engine engine(fixture.full_log());
+  auto prepared = engine.Prepare(fixture.query());
+  PX_CHECK(prepared.ok()) << prepared.status().ToString();
+  auto response = engine.Explain(*prepared);
+  PX_CHECK(response.ok()) << response.status().ToString();
+  const px::LogSnapshot& snapshot = *engine.snapshot();
+  const px::ExplainerOptions& options = engine.options().explainer;
+  const double f = options.pair.sim_fraction;
+  const px::EnumerationOptions enumeration{options.threads};
+  const std::shared_ptr<const px::RelatedPairIndex> index =
+      snapshot.related_pairs().Acquire(prepared->bound(), f, enumeration,
+                                       &prepared->compiled());
+  PX_CHECK(index != nullptr);
+  px::Explanation explanation = response->explanation;
+  PX_CHECK(explanation.despite.Bind(snapshot.pair_schema()).ok());
+  PX_CHECK(explanation.because.Bind(snapshot.pair_schema()).ok());
+  const px::CompiledPredicate despite = px::CompiledPredicate::Compile(
+      explanation.despite, snapshot.pair_schema(), snapshot.columns());
+  const px::CompiledPredicate because = px::CompiledPredicate::Compile(
+      explanation.because, snapshot.pair_schema(), snapshot.columns());
+  const int layer = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    px::Rng rng(options.seed);
+    if (layer == 0) {
+      benchmark::DoNotOptimize(px::SampleRelatedPairs(
+          snapshot.columns(), prepared->compiled(), prepared->poi_first(),
+          prepared->poi_second(), f, options.sampler, rng,
+          options.balanced_sampling, enumeration));
+    } else if (layer == 1) {
+      benchmark::DoNotOptimize(index->SampleDraws(
+          prepared->poi_first(), prepared->poi_second(), options.sampler,
+          rng, options.balanced_sampling));
+    } else if (layer == 2) {
+      benchmark::DoNotOptimize(
+          px::EvaluateExplanation(*index, despite, because, f));
+    } else {
+      benchmark::DoNotOptimize(px::EvaluateExplanation(
+          snapshot.columns(), prepared->compiled(), despite, because, f,
+          enumeration));
+    }
+  }
+  state.counters["index_bytes"] = static_cast<double>(index->bytes());
+  static const char* const kLayers[] = {"scan_sample", "index_sample",
+                                        "index_evaluate", "scan_evaluate"};
+  state.SetLabel(px::StrFormat(
+      "%s rows=%zu candidates=%zu related=%zu threads=%d", kLayers[layer],
+      snapshot.columns().rows(), index->candidate_count(),
+      index->counts().total(), px::ResolveEnumerationThreads(enumeration)));
+}
+BENCHMARK(BM_RelatedPairIndex)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 /// The buffer-pool budget sweep: a selective SimButDiff query (despite
 /// 'numinstances = 16' derives a base-atom selection of roughly n/5 hot

@@ -108,7 +108,8 @@ Engine::Engine(std::shared_ptr<const LogSnapshot> snapshot,
   // additionally borrows the snapshot's pair-code store so sequential
   // queries run on resident packed codes.
   explainer_ = std::make_unique<Explainer>(
-      &snapshot_->log(), options_.explainer, &snapshot_->columns());
+      &snapshot_->log(), options_.explainer, &snapshot_->columns(),
+      &snapshot_->related_pairs());
   sim_but_diff_ = std::make_unique<SimButDiff>(
       &snapshot_->log(), options_.sim_but_diff, &snapshot_->columns(),
       &snapshot_->pair_codes());
@@ -523,10 +524,10 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
   // The batch's PerfXplain requests of one query shape (structurally
   // identical bound predicates; Definition 1 holding, since the per-call
   // path fails those before scanning; no auto-despite, which rewrites the
-  // shape mid-flight) share one related-pair classification scan. Each
-  // request then pays only its serial sampling replay, encoding and
-  // clause generation — bitwise identical to per-call Explain because the
-  // counting scan never depends on the pair of interest or the seed.
+  // shape mid-flight) share the shape's related-pair index. Each request
+  // then pays only its serial sampling replay, encoding and clause
+  // generation — bitwise identical to per-call Explain because the
+  // classification never depends on the pair of interest or the seed.
   std::vector<std::vector<std::size_t>> px_groups;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = items[i];
@@ -555,17 +556,18 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     if (group.size() < 2) continue;
     const PreparedQuery& representative = *items[group.front()].prepared;
     const Clock::time_point scan_start = Clock::now();
-    const RelatedPairScan scan = ScanRelatedPairs(
-        snapshot_->columns(), representative.compiled(),
-        options_.explainer.pair.sim_fraction,
-        EnumerationOptions{options_.explainer.threads});
-    // Overflowed scans carry no replayable pair list; the group falls
-    // back to per-call execution (each call streams its own draws).
-    if (scan.overflowed) continue;
+    const std::shared_ptr<const RelatedPairIndex> index =
+        snapshot_->related_pairs().Acquire(
+            representative.bound(), options_.explainer.pair.sim_fraction,
+            EnumerationOptions{options_.explainer.threads},
+            &representative.compiled());
+    // A shape too large for the index falls back to per-call execution
+    // (each call scans for its own draws).
+    if (index == nullptr) continue;
     const double scan_share_ms =
         MsSince(scan_start) / static_cast<double>(group.size());
     // Second amortization seam (the former ROADMAP carried item): within a
-    // shape group, the encoded training matrix depends only on (scan,
+    // shape group, the encoded training matrix depends only on (index,
     // effective seed, pair of interest) — the sampler settings, diversity
     // cap, balanced flag and sim_fraction are engine-fixed, and
     // per-request overrides touch only width/seed/threads. Requests
@@ -594,9 +596,9 @@ std::vector<Result<ExplainResponse>> Engine::ExplainBatch(
     for (const std::vector<std::size_t>& matrix_group : matrix_groups) {
       const BatchItem& lead = items[matrix_group.front()];
       const Clock::time_point sample_start = Clock::now();
-      auto examples = explainer_->BuildEncodedExamplesFromScan(
-          lead.prepared->bound(), scan, lead.prepared->poi_first(),
-          lead.prepared->poi_second(), ExplainerOptionsFor(lead.request));
+      auto examples = explainer_->BuildEncodedExamplesFromIndex(
+          *index, lead.prepared->poi_first(), lead.prepared->poi_second(),
+          ExplainerOptionsFor(lead.request));
       const double sample_share_ms =
           MsSince(sample_start) / static_cast<double>(matrix_group.size());
       for (std::size_t i : matrix_group) {
@@ -660,9 +662,29 @@ Result<Predicate> Engine::GenerateDespite(const PreparedQuery& prepared,
 Result<ExplanationMetrics> Engine::Evaluate(
     const PreparedQuery& prepared, const Explanation& explanation) const {
   PX_RETURN_IF_ERROR(CheckPrepared(prepared));
-  // The snapshot's own columns: no re-encoding of its log per request.
-  return EvaluateOnColumns(snapshot_->columns(), prepared.bound(),
-                           explanation);
+  // The prepared query is already bound and compiled against the
+  // snapshot's columns; only the explanation's two clauses are new.
+  const PairSchema& schema = snapshot_->pair_schema();
+  const ColumnarLog& columns = snapshot_->columns();
+  Predicate despite = explanation.despite;
+  PX_RETURN_IF_ERROR(despite.Bind(schema));
+  Predicate because = explanation.because;
+  PX_RETURN_IF_ERROR(because.Bind(schema));
+  const CompiledPredicate compiled_despite =
+      CompiledPredicate::Compile(despite, schema, columns);
+  const CompiledPredicate compiled_because =
+      CompiledPredicate::Compile(because, schema, columns);
+  const double sim_fraction = options_.explainer.pair.sim_fraction;
+  const EnumerationOptions enumeration{options_.explainer.threads};
+  if (const std::shared_ptr<const RelatedPairIndex> index =
+          snapshot_->related_pairs().Acquire(prepared.bound(), sim_fraction,
+                                             enumeration,
+                                             &prepared.compiled())) {
+    return EvaluateExplanation(*index, compiled_despite, compiled_because,
+                               sim_fraction);
+  }
+  return EvaluateExplanation(columns, prepared.compiled(), compiled_despite,
+                             compiled_because, sim_fraction, enumeration);
 }
 
 Result<ExplanationMetrics> Engine::EvaluateOn(
@@ -671,20 +693,13 @@ Result<ExplanationMetrics> Engine::EvaluateOn(
   if (!(test_log.schema() == snapshot_->log().schema())) {
     return Status::InvalidArgument("test log schema differs from training");
   }
-  return EvaluateOnColumns(ColumnarLog(test_log), query, explanation);
-}
-
-Result<ExplanationMetrics> Engine::EvaluateOnColumns(
-    const ColumnarLog& columns, const Query& query,
-    const Explanation& explanation) const {
+  const PairSchema& schema = snapshot_->pair_schema();
   Query bound = query;
-  PX_RETURN_IF_ERROR(bound.Bind(snapshot_->pair_schema()));
+  PX_RETURN_IF_ERROR(bound.Bind(schema));
   Explanation bound_explanation = explanation;
-  PX_RETURN_IF_ERROR(
-      bound_explanation.despite.Bind(snapshot_->pair_schema()));
-  PX_RETURN_IF_ERROR(
-      bound_explanation.because.Bind(snapshot_->pair_schema()));
-  return EvaluateExplanation(columns, snapshot_->pair_schema(), bound,
+  PX_RETURN_IF_ERROR(bound_explanation.despite.Bind(schema));
+  PX_RETURN_IF_ERROR(bound_explanation.because.Bind(schema));
+  return EvaluateExplanation(ColumnarLog(test_log), schema, bound,
                              bound_explanation, options_.explainer.pair,
                              EnumerationOptions{options_.explainer.threads});
 }

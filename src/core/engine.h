@@ -13,6 +13,7 @@
 #include "core/explainer.h"
 #include "core/explanation.h"
 #include "core/metrics.h"
+#include "core/related_pair_index.h"
 #include "core/result_cache.h"
 #include "core/rule_of_thumb.h"
 #include "core/sim_but_diff.h"
@@ -36,9 +37,11 @@ const char* TechniqueToString(Technique technique);
 
 /// The immutable data a query runs against: one log of past executions,
 /// its pair schema, the dictionary-encoded columnar replica every scan
-/// reads, and the lazily built PairCodeStore of packed per-pair isSame
-/// codes. A snapshot is built once and never mutated afterwards (the
-/// store's lazy build is call_once-guarded and invisible to readers), so
+/// reads, the lazily built PairCodeStore of packed per-pair isSame codes
+/// and the lazily built RelatedPairIndexStore of per-shape related-pair
+/// bitsets. A snapshot is built once and never mutated afterwards (both
+/// stores' lazy builds are internally synchronized and invisible to
+/// readers: results never depend on whether an entry was resident), so
 /// any number of Engines, PreparedQueries and worker threads may share one
 /// through a shared_ptr<const LogSnapshot> — the serving-engine split
 /// between shared immutable data and cheap per-request state.
@@ -49,7 +52,8 @@ class LogSnapshot {
         log_(std::move(log)),
         schema_(log_.schema()),
         columns_(log_),
-        pair_codes_(&columns_) {}
+        pair_codes_(&columns_),
+        related_pairs_(&columns_, &schema_) {}
 
   /// Incremental promotion: a snapshot of `log` that extends `base`.
   /// `log` must be base's log plus appended records — same schema, first
@@ -67,7 +71,8 @@ class LogSnapshot {
         log_(std::move(log)),
         schema_(log_.schema()),
         columns_(base.columns_, log_),
-        pair_codes_(&columns_) {}
+        pair_codes_(&columns_),
+        related_pairs_(&columns_, &schema_) {}
 
   LogSnapshot(const LogSnapshot&) = delete;
   LogSnapshot& operator=(const LogSnapshot&) = delete;
@@ -95,6 +100,13 @@ class LogSnapshot {
   /// sequential queries skip per-pair packing (subject to
   /// SimButDiffOptions::pair_code_budget_bytes).
   const PairCodeStore& pair_codes() const { return pair_codes_; }
+  /// The snapshot-resident related-pair index: each PerfXplain query
+  /// shape's Definition 7 classification, built on the shape's first
+  /// request and shared by every later PerfXplain sample and Evaluate of
+  /// it (bounded by an LRU byte budget; see RelatedPairIndexStore).
+  const RelatedPairIndexStore& related_pairs() const {
+    return related_pairs_;
+  }
 
  private:
   static std::uint64_t NextId();
@@ -104,6 +116,7 @@ class LogSnapshot {
   PairSchema schema_;
   ColumnarLog columns_;
   PairCodeStore pair_codes_;
+  RelatedPairIndexStore related_pairs_;
 };
 
 /// Admission-control ceilings: an Engine estimates each request's cost
@@ -210,8 +223,9 @@ struct ExplainRequest {
   /// fold it into the query (§4.2 / §6.4). Ignored by the baselines.
   bool auto_despite = false;
 
-  /// Also measure the explanation's metrics over the engine's log (an
-  /// O(n^2) scan — off by default).
+  /// Also measure the explanation's metrics over the engine's log (a walk
+  /// of the query shape's related pairs, or a pair scan when the shape is
+  /// not indexed — off by default).
   bool evaluate = false;
 
   /// Override of the sampling seed (PerfXplain technique). Explanations
@@ -351,10 +365,11 @@ class Engine {
   ///    for every agreement test (SimButDiff::ExplainBatch);
   ///  - its PerfXplain requests sharing one query *shape* (structurally
   ///    identical bound despite/observed/expected, no auto-despite) share
-  ///    ONE related-pair classification scan (ScanRelatedPairs); each
-  ///    request then replays only its own serial sampling draws and
-  ///    clause generation (Explainer::ExplainPreparedWithScan). When the
-  ///    scan overflows the sample buffer cap, the group falls back to
+  ///    the shape's related-pair index (LogSnapshot::related_pairs, built
+  ///    by the group if no earlier request did), and requests that also
+  ///    share (seed, pair of interest) share one encoded training matrix;
+  ///    each request then runs only its own clause generation. When the
+  ///    shape is too large for the index, the group falls back to
   ///    per-call execution.
   /// All other requests run through Explain. Results are bitwise
   /// identical to issuing the requests one-by-one; responses line up with
@@ -369,7 +384,10 @@ class Engine {
   Result<Predicate> GenerateDespite(const PreparedQuery& prepared,
                                     std::size_t width = 0) const;
 
-  /// Measures an explanation's metrics over this engine's log.
+  /// Measures an explanation's metrics over this engine's log: binds and
+  /// compiles only the explanation's two clauses and runs them over the
+  /// prepared query's related pairs, from the snapshot's index when the
+  /// shape fits it.
   Result<ExplanationMetrics> Evaluate(const PreparedQuery& prepared,
                                       const Explanation& explanation) const;
 
@@ -384,12 +402,6 @@ class Engine {
   /// ranking pass). std::call_once makes the first concurrent callers
   /// race-free; every later call is a plain load.
   const RuleOfThumb& rule_of_thumb() const;
-
-  /// Binds `query` and `explanation` to this snapshot's pair schema and
-  /// measures the explanation over `columns`.
-  Result<ExplanationMetrics> EvaluateOnColumns(
-      const ColumnarLog& columns, const Query& query,
-      const Explanation& explanation) const;
 
   /// Rejects a PreparedQuery that was not prepared against this engine's
   /// snapshot (its compiled programs would point into another log's

@@ -237,8 +237,12 @@ Status CheckDefinition1(const CompiledQuery& compiled, std::size_t first,
 }
 
 Explainer::Explainer(const ExecutionLog* log, ExplainerOptions options,
-                     const ColumnarLog* columns)
-    : log_(&CheckedLog(log)), options_(options), schema_(log->schema()) {
+                     const ColumnarLog* columns,
+                     const RelatedPairIndexStore* related_pairs)
+    : log_(&CheckedLog(log)),
+      options_(options),
+      schema_(log->schema()),
+      related_pairs_(related_pairs) {
   if (columns == nullptr) {
     owned_columnar_ = std::make_unique<ColumnarLog>(*log);
     columnar_ = owned_columnar_.get();
@@ -297,57 +301,51 @@ Result<EncodedDataset> Explainer::BuildEncodedExamples(
     const Query& bound_query, std::size_t poi_first,
     std::size_t poi_second) const {
   return BuildEncodedExamplesWith(bound_query, poi_first, poi_second,
-                                  options_);
+                                  options_, /*indexed=*/false);
 }
 
 Result<EncodedDataset> Explainer::BuildEncodedExamplesWith(
     const Query& bound_query, std::size_t poi_first, std::size_t poi_second,
-    const ExplainerOptions& options) const {
+    const ExplainerOptions& options, bool indexed) const {
+  const EnumerationOptions enumeration{options.threads};
+  if (indexed && related_pairs_ != nullptr) {
+    if (const std::shared_ptr<const RelatedPairIndex> index =
+            related_pairs_->Acquire(bound_query, options.pair.sim_fraction,
+                                    enumeration)) {
+      return BuildEncodedExamplesFromIndex(*index, poi_first, poi_second,
+                                           options);
+    }
+  }
   Rng rng(options.seed);
   const CompiledQuery compiled =
       CompiledQuery::Compile(bound_query, schema_, *columnar_);
   auto sampled = SampleRelatedPairs(
       *columnar_, compiled, poi_first, poi_second,
       options.pair.sim_fraction, options.sampler, rng,
-      options.balanced_sampling, EnumerationOptions{options.threads});
+      options.balanced_sampling, enumeration);
   if (!sampled.ok()) return sampled.status();
-  std::vector<PairRef> pairs = std::move(sampled).value();
-  if (options.max_pairs_per_record > 0) {
-    pairs = EnforceRecordDiversity(std::move(pairs),
-                                   options.max_pairs_per_record,
-                                   /*keep_first=*/true);
-  }
-  return EncodedDataset(*columnar_, schema_, pairs,
-                        options.pair.sim_fraction);
+  return EncodeSample(std::move(sampled).value(), options);
 }
 
-Result<EncodedDataset> Explainer::BuildEncodedExamplesFromScan(
-    const Query& bound_query, const RelatedPairScan& scan,
-    std::size_t poi_first, std::size_t poi_second,
-    const ExplainerOptions& options) const {
-  (void)bound_query;  // the scan already encodes the query's shape
-  Rng rng(options.seed);
-  auto sampled =
-      ReplaySampleDraws(scan, columnar_->rows(), poi_first, poi_second,
-                        options.sampler, rng, options.balanced_sampling);
-  if (!sampled.ok()) return sampled.status();
-  std::vector<PairRef> pairs = std::move(sampled).value();
-  if (options.max_pairs_per_record > 0) {
-    pairs = EnforceRecordDiversity(std::move(pairs),
-                                   options.max_pairs_per_record,
-                                   /*keep_first=*/true);
-  }
-  return EncodedDataset(*columnar_, schema_, pairs,
-                        options.pair.sim_fraction);
-}
-
-Result<Explanation> Explainer::ExplainPreparedWithScan(
-    const Query& bound, const RelatedPairScan& scan, std::size_t poi_first,
+Result<EncodedDataset> Explainer::BuildEncodedExamplesFromIndex(
+    const RelatedPairIndex& index, std::size_t poi_first,
     std::size_t poi_second, const ExplainerOptions& options) const {
-  auto examples = BuildEncodedExamplesFromScan(bound, scan, poi_first,
-                                               poi_second, options);
-  if (!examples.ok()) return examples.status();
-  return ExplainPreparedWithExamples(bound, examples.value(), options);
+  Rng rng(options.seed);
+  auto sampled = index.SampleDraws(poi_first, poi_second, options.sampler,
+                                   rng, options.balanced_sampling);
+  if (!sampled.ok()) return sampled.status();
+  return EncodeSample(std::move(sampled).value(), options);
+}
+
+EncodedDataset Explainer::EncodeSample(
+    std::vector<PairRef> pairs, const ExplainerOptions& options) const {
+  if (options.max_pairs_per_record > 0) {
+    pairs = EnforceRecordDiversity(std::move(pairs),
+                                   options.max_pairs_per_record,
+                                   /*keep_first=*/true);
+  }
+  return EncodedDataset(*columnar_, schema_, pairs,
+                        options.pair.sim_fraction);
 }
 
 Result<Explanation> Explainer::ExplainPreparedWithExamples(
@@ -402,20 +400,10 @@ Result<Explanation> Explainer::Explain(const Query& query) const {
 Result<Explanation> Explainer::ExplainPrepared(
     const Query& bound, std::size_t poi_first, std::size_t poi_second,
     const ExplainerOptions& options) const {
-  auto examples =
-      BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
+  auto examples = BuildEncodedExamplesWith(bound, poi_first, poi_second,
+                                           options, /*indexed=*/true);
   if (!examples.ok()) return examples.status();
-
-  Explanation explanation;
-  EncodedClauseSearch working(examples.value(), /*target_expected=*/false);
-  explanation.because_trace =
-      GenerateClauseWith(working, schema_, options, options.width,
-                         ExcludedRawFeatures(bound), bound.despite.atoms());
-  explanation.because = ClauseToPredicate(explanation.because_trace);
-  if (explanation.because.is_true()) {
-    return Status::Internal("no applicable because clause could be built");
-  }
-  return explanation;
+  return ExplainPreparedWithExamples(bound, examples.value(), options);
 }
 
 Result<Predicate> Explainer::GenerateDespite(const Query& query,
@@ -431,8 +419,8 @@ Result<Predicate> Explainer::GenerateDespite(const Query& query,
 Result<Predicate> Explainer::GenerateDespitePrepared(
     const Query& bound, std::size_t poi_first, std::size_t poi_second,
     std::size_t width, const ExplainerOptions& options) const {
-  auto examples =
-      BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
+  auto examples = BuildEncodedExamplesWith(bound, poi_first, poi_second,
+                                           options, /*indexed=*/true);
   if (!examples.ok()) return examples.status();
   EncodedClauseSearch working(examples.value(), /*target_expected=*/true);
   const std::vector<ExplanationAtom> trace =
@@ -453,8 +441,8 @@ Result<Explanation> Explainer::ExplainWithAutoDespite(
 Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
     const Query& bound, std::size_t poi_first, std::size_t poi_second,
     const ExplainerOptions& options) const {
-  auto examples =
-      BuildEncodedExamplesWith(bound, poi_first, poi_second, options);
+  auto examples = BuildEncodedExamplesWith(bound, poi_first, poi_second,
+                                           options, /*indexed=*/true);
   if (!examples.ok()) return examples.status();
 
   // des' clause first, truncated at the relevance threshold.
@@ -480,8 +468,10 @@ Result<Explanation> Explainer::ExplainWithAutoDespitePrepared(
   // bec clause in the context of des AND des'.
   Query extended = bound;
   extended.despite = extended.despite.And(explanation.despite);
-  auto extended_examples =
-      BuildEncodedExamplesWith(extended, poi_first, poi_second, options);
+  // The extended shape is request-specific: it is sampled by a scan and
+  // never indexed.
+  auto extended_examples = BuildEncodedExamplesWith(
+      extended, poi_first, poi_second, options, /*indexed=*/false);
   if (!extended_examples.ok()) return extended_examples.status();
   EncodedClauseSearch because_working(extended_examples.value(),
                                       /*target_expected=*/false);

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "core/explanation.h"
 #include "core/pair_enumeration.h"
+#include "core/related_pair_index.h"
 #include "features/pair_features.h"
 #include "features/pair_schema.h"
 #include "log/columnar.h"
@@ -87,9 +88,13 @@ class Explainer {
   /// `log` must outlive the explainer. When `columns` is non-null it must
   /// be the columnar copy of `log` (and outlive this object too); the
   /// explainer then shares it instead of building its own — the Engine
-  /// passes its snapshot's so every technique scans one replica.
+  /// passes its snapshot's so every technique scans one replica. When
+  /// `related_pairs` is non-null it must index those same columns; the
+  /// *Prepared entry points then sample the prepared query's own shape
+  /// from it instead of scanning (the Engine passes its snapshot's).
   Explainer(const ExecutionLog* log, ExplainerOptions options,
-            const ColumnarLog* columns = nullptr);
+            const ColumnarLog* columns = nullptr,
+            const RelatedPairIndexStore* related_pairs = nullptr);
 
   const PairSchema& pair_schema() const { return schema_; }
   const ExplainerOptions& options() const { return options_; }
@@ -120,43 +125,33 @@ class Explainer {
   /// the constructor options only in width / despite_width / seed /
   /// threads: anything that changes pair semantics (sim_fraction, level,
   /// sampling sizes) would desynchronize the check PrepareQuery already
-  /// performed. Thread-safe: these methods touch only immutable state and
-  /// call-local Rngs.
+  /// performed. With a related-pair index store, the prepared query's own
+  /// shape is sampled from its index (built on first use); the extended
+  /// query of auto-despite is always sampled by a scan. Thread-safe: these
+  /// methods touch only immutable state, the internally synchronized index
+  /// store and call-local Rngs.
   Result<Explanation> ExplainPrepared(const Query& bound,
                                       std::size_t poi_first,
                                       std::size_t poi_second,
                                       const ExplainerOptions& options) const;
 
-  /// ExplainPrepared with the related-pair counting scan already done —
-  /// the amortization seam of Engine::ExplainBatch for PerfXplain: the
-  /// O(n²) classification pass depends only on the query *shape* (its
-  /// three bound predicates), so a batch of structurally identical
-  /// queries shares one ScanRelatedPairs and each request replays only
-  /// its own serial sampling draws, encoding and clause generation.
-  /// `scan` must come from ScanRelatedPairs over this explainer's columns
-  /// with the query's compiled programs and this engine's sim_fraction,
-  /// and must not be overflowed. Bitwise identical to ExplainPrepared.
-  Result<Explanation> ExplainPreparedWithScan(
-      const Query& bound, const RelatedPairScan& scan, std::size_t poi_first,
+  /// The per-request half of ExplainPrepared, split at the encoded
+  /// training matrix: the serial sampling replay over the shape's
+  /// related-pair index, the diversity cap and the encoding. The matrix
+  /// depends only on (index, pair of interest, seed, sampling options,
+  /// sim_fraction) — NOT on the clause width — so Engine::ExplainBatch
+  /// builds it once per (shape, seed, poi) sub-group and feeds it to
+  /// ExplainPreparedWithExamples per request. `index` must be the query
+  /// shape's index over this explainer's columns under this engine's
+  /// sim_fraction.
+  Result<EncodedDataset> BuildEncodedExamplesFromIndex(
+      const RelatedPairIndex& index, std::size_t poi_first,
       std::size_t poi_second, const ExplainerOptions& options) const;
 
-  /// The per-request half of ExplainPreparedWithScan, split at the encoded
-  /// training matrix: serial sampling replay + diversity cap + encoding.
-  /// The matrix depends only on (scan, pair of interest, seed, sampling
-  /// options, sim_fraction) — NOT on the clause width — so ExplainBatch
-  /// builds it once per (shape, seed, poi) sub-group and feeds it to
-  /// ExplainPreparedWithExamples per request. `scan` has the same
-  /// provenance contract as ExplainPreparedWithScan.
-  Result<EncodedDataset> BuildEncodedExamplesFromScan(
-      const Query& bound_query, const RelatedPairScan& scan,
-      std::size_t poi_first, std::size_t poi_second,
-      const ExplainerOptions& options) const;
-
-  /// The clause-generation tail of ExplainPreparedWithScan over an
-  /// already-built encoded training matrix. `examples` must come from
-  /// BuildEncodedExamplesFromScan for the same bound query (any width).
-  /// ExplainPreparedWithScan == BuildEncodedExamplesFromScan +
-  /// ExplainPreparedWithExamples, bitwise.
+  /// The clause-generation tail of ExplainPrepared over an already-built
+  /// encoded training matrix. `examples` must come from
+  /// BuildEncodedExamplesFromIndex for the same bound query (any width);
+  /// the two together are bitwise identical to ExplainPrepared.
   Result<Explanation> ExplainPreparedWithExamples(
       const Query& bound, const EncodedDataset& examples,
       const ExplainerOptions& options) const;
@@ -214,16 +209,23 @@ class Explainer {
       const std::vector<ExplanationAtom>& trace);
 
   /// BuildEncodedExamples under explicit options (seed / threads / sampling
-  /// come from `options`, not the constructor's).
+  /// come from `options`, not the constructor's). `indexed` lets the
+  /// sample come from the related-pair index store, when there is one and
+  /// the shape fits it; otherwise SampleRelatedPairs scans the pairs.
   Result<EncodedDataset> BuildEncodedExamplesWith(
       const Query& bound_query, std::size_t poi_first, std::size_t poi_second,
-      const ExplainerOptions& options) const;
+      const ExplainerOptions& options, bool indexed) const;
+
+  /// The diversity cap and encoding shared by every sampling route.
+  EncodedDataset EncodeSample(std::vector<PairRef> pairs,
+                              const ExplainerOptions& options) const;
 
   const ExecutionLog* log_;
   ExplainerOptions options_;
   PairSchema schema_;
   std::unique_ptr<ColumnarLog> owned_columnar_;
   const ColumnarLog* columnar_;
+  const RelatedPairIndexStore* related_pairs_;
 };
 
 /// Definition 1 check on the compiled programs: des and obs must hold for

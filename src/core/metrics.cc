@@ -15,58 +15,36 @@ ExplanationMetrics EvaluateExplanation(const ExecutionLog& log,
                              explanation, options, EnumerationOptions{});
 }
 
-ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
-                                       const PairSchema& schema,
-                                       const Query& bound_query,
-                                       const Explanation& explanation,
-                                       const PairFeatureOptions& options,
-                                       const EnumerationOptions& enumeration) {
-  // Per §4.2 of the paper, all three probabilities are measured over the
-  // pairs *related* to the query — those satisfying des AND (obs OR exp)
-  // (Definition 7). Pairs exhibiting some third behavior (neither observed
-  // nor expected) are not part of the population.
-  const CompiledQuery query =
-      CompiledQuery::Compile(bound_query, schema, columns);
-  const CompiledPredicate despite =
-      CompiledPredicate::Compile(explanation.despite, schema, columns);
-  const CompiledPredicate because =
-      CompiledPredicate::Compile(explanation.because, schema, columns);
-  const double f = options.sim_fraction;
+namespace {
 
-  struct Counts {
-    std::size_t pairs_despite = 0;
-    std::size_t pairs_despite_exp = 0;
-    std::size_t pairs_because = 0;
-    std::size_t pairs_because_obs = 0;
-  };
-  std::vector<Counts> partials;
-  // Selection-pruned: pairs failing the query's despite program are
-  // unrelated and touch no counter, so the metrics are identical.
-  ScanDespitePairs(query.despite, columns.rows(), enumeration, partials,
-                   [&](Counts& local, std::size_t i, std::size_t j) {
-                     const PairLabel label =
-                         ClassifyPairCompiled(query, i, j, f);
-                     if (label == PairLabel::kUnrelated) return;
-                     if (!despite.Eval(i, j, f)) return;
-                     ++local.pairs_despite;
-                     if (label == PairLabel::kExpected) {
-                       ++local.pairs_despite_exp;
-                     }
-                     if (because.Eval(i, j, f)) {
-                       ++local.pairs_because;
-                       if (label == PairLabel::kObserved) {
-                         ++local.pairs_because_obs;
-                       }
-                     }
-                   });
+/// The four pair counts of ExplanationMetrics.
+struct MetricCounts {
+  std::size_t pairs_despite = 0;
+  std::size_t pairs_despite_exp = 0;
+  std::size_t pairs_because = 0;
+  std::size_t pairs_because_obs = 0;
 
-  ExplanationMetrics metrics;
-  for (const Counts& local : partials) {
-    metrics.pairs_despite += local.pairs_despite;
-    metrics.pairs_despite_exp += local.pairs_despite_exp;
-    metrics.pairs_because += local.pairs_because;
-    metrics.pairs_because_obs += local.pairs_because_obs;
+  /// Tallies one related pair.
+  void Add(const CompiledPredicate& despite, const CompiledPredicate& because,
+           std::size_t i, std::size_t j, bool observed, double f) {
+    if (!despite.Eval(i, j, f)) return;
+    ++pairs_despite;
+    if (!observed) ++pairs_despite_exp;
+    if (because.Eval(i, j, f)) {
+      ++pairs_because;
+      if (observed) ++pairs_because_obs;
+    }
   }
+};
+
+/// The conditional probabilities of `counts`; probabilities conditioned on
+/// an empty set are 0.
+ExplanationMetrics MetricsFromCounts(const MetricCounts& counts) {
+  ExplanationMetrics metrics;
+  metrics.pairs_despite = counts.pairs_despite;
+  metrics.pairs_despite_exp = counts.pairs_despite_exp;
+  metrics.pairs_because = counts.pairs_because;
+  metrics.pairs_because_obs = counts.pairs_because_obs;
   if (metrics.pairs_despite > 0) {
     metrics.relevance = static_cast<double>(metrics.pairs_despite_exp) /
                         static_cast<double>(metrics.pairs_despite);
@@ -78,6 +56,64 @@ ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
                         static_cast<double>(metrics.pairs_because);
   }
   return metrics;
+}
+
+}  // namespace
+
+ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
+                                       const PairSchema& schema,
+                                       const Query& bound_query,
+                                       const Explanation& explanation,
+                                       const PairFeatureOptions& options,
+                                       const EnumerationOptions& enumeration) {
+  return EvaluateExplanation(
+      columns, CompiledQuery::Compile(bound_query, schema, columns),
+      CompiledPredicate::Compile(explanation.despite, schema, columns),
+      CompiledPredicate::Compile(explanation.because, schema, columns),
+      options.sim_fraction, enumeration);
+}
+
+ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
+                                       const CompiledQuery& query,
+                                       const CompiledPredicate& despite,
+                                       const CompiledPredicate& because,
+                                       double sim_fraction,
+                                       const EnumerationOptions& enumeration) {
+  // Per §4.2 of the paper, all three probabilities are measured over the
+  // pairs *related* to the query — those satisfying des AND (obs OR exp)
+  // (Definition 7). Pairs exhibiting some third behavior (neither observed
+  // nor expected) are not part of the population.
+  const double f = sim_fraction;
+  std::vector<MetricCounts> partials;
+  // Selection-pruned: pairs failing the query's despite program are
+  // unrelated and touch no counter, so the metrics are identical.
+  ScanDespitePairs(query.despite, columns.rows(), enumeration, partials,
+                   [&](MetricCounts& local, std::size_t i, std::size_t j) {
+                     const PairLabel label =
+                         ClassifyPairCompiled(query, i, j, f);
+                     if (label == PairLabel::kUnrelated) return;
+                     local.Add(despite, because, i, j,
+                               label == PairLabel::kObserved, f);
+                   });
+  MetricCounts counts;
+  for (const MetricCounts& local : partials) {
+    counts.pairs_despite += local.pairs_despite;
+    counts.pairs_despite_exp += local.pairs_despite_exp;
+    counts.pairs_because += local.pairs_because;
+    counts.pairs_because_obs += local.pairs_because_obs;
+  }
+  return MetricsFromCounts(counts);
+}
+
+ExplanationMetrics EvaluateExplanation(const RelatedPairIndex& index,
+                                       const CompiledPredicate& despite,
+                                       const CompiledPredicate& because,
+                                       double sim_fraction) {
+  MetricCounts counts;
+  index.ForEachRelated([&](std::size_t i, std::size_t j, bool observed) {
+    counts.Add(despite, because, i, j, observed, sim_fraction);
+  });
+  return MetricsFromCounts(counts);
 }
 
 double EvaluateDespiteRelevance(const ExecutionLog& log,

@@ -3,6 +3,7 @@
 
 #include "core/explanation.h"
 #include "core/pair_enumeration.h"
+#include "core/related_pair_index.h"
 #include "features/pair_features.h"
 #include "log/execution_log.h"
 #include "pxql/query.h"
@@ -41,6 +42,23 @@ ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
                                        const Explanation& explanation,
                                        const PairFeatureOptions& options,
                                        const EnumerationOptions& enumeration);
+
+/// The same with the query and the explanation's two clauses already
+/// compiled against `columns`.
+ExplanationMetrics EvaluateExplanation(const ColumnarLog& columns,
+                                       const CompiledQuery& query,
+                                       const CompiledPredicate& despite,
+                                       const CompiledPredicate& because,
+                                       double sim_fraction,
+                                       const EnumerationOptions& enumeration);
+
+/// The same over the related pairs of `index`, the query's index over the
+/// log the clauses were compiled against: runs only the des' and bec
+/// programs, serially, classifying no pair.
+ExplanationMetrics EvaluateExplanation(const RelatedPairIndex& index,
+                                       const CompiledPredicate& despite,
+                                       const CompiledPredicate& because,
+                                       double sim_fraction);
 
 /// The same over `log`, which is encoded first; the scan uses the default
 /// EnumerationOptions.

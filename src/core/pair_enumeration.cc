@@ -55,6 +55,14 @@ CandidatePairs::CandidatePairs(const CompiledPredicate& despite,
   }
 }
 
+std::size_t CandidatePairs::bytes() const {
+  return (selection_.first_rows.capacity() +
+          selection_.second_rows.capacity() + selection_.group_of.capacity() +
+          selection_.group_begin.capacity() +
+          selection_.group_rows.capacity()) *
+         sizeof(std::uint32_t);
+}
+
 void SetDefaultEnumerationThreads(int threads) {
   g_default_threads.store(threads < 0 ? 0 : threads);
 }
@@ -207,17 +215,6 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
   return scan;
 }
 
-namespace {
-
-/// The §4.3 per-label acceptance probabilities: balanced sampling aims
-/// m/2 examples per label (clamped to 1), uniform sampling m overall.
-/// One definition shared by the buffered replay and the streaming
-/// fallback, so the two memory strategies can never drift apart.
-struct AcceptanceProbabilities {
-  double observed = 0.0;
-  double expected = 0.0;
-};
-
 AcceptanceProbabilities ComputeAcceptance(
     const RelatedCounts& counts, const SamplerOptions& sampler_options,
     bool balanced) {
@@ -241,8 +238,6 @@ AcceptanceProbabilities ComputeAcceptance(
   }
   return p;
 }
-
-}  // namespace
 
 Result<std::vector<PairRef>> ReplaySampleDraws(
     const RelatedPairScan& scan, std::size_t rows, std::size_t poi_first,

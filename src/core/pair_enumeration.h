@@ -225,6 +225,8 @@ class CandidatePairs {
   }
   /// The ascending candidate partners of first row `i`.
   RowRange partners(std::size_t i) const { return selection_.partners(i); }
+  /// Heap bytes of the selection's row lists and partition.
+  std::size_t bytes() const;
 
  private:
   PairSelection selection_;
@@ -311,6 +313,20 @@ RelatedPairScan ScanRelatedPairs(const ColumnarLog& columns,
                                  const CompiledQuery& query,
                                  double sim_fraction,
                                  const EnumerationOptions& enumeration = {});
+
+/// The §4.3 per-label acceptance probabilities: balanced sampling aims
+/// m/2 examples per label (clamped to 1), uniform sampling m overall. One
+/// definition shared by every draw replay (the buffered scan, the
+/// streaming fallback and RelatedPairIndex), so they can never drift
+/// apart.
+struct AcceptanceProbabilities {
+  double observed = 0.0;
+  double expected = 0.0;
+};
+
+AcceptanceProbabilities ComputeAcceptance(const RelatedCounts& counts,
+                                          const SamplerOptions& sampler_options,
+                                          bool balanced);
 
 /// The serial §4.3 acceptance replay of SampleRelatedPairs over an
 /// already-collected scan (which must not be overflowed): computes the

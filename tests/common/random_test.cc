@@ -3,10 +3,96 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <random>
 
 namespace perfxplain {
 namespace {
+
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  for (std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{17},
+        (std::uint64_t{1} << 63) + 5, ~std::uint64_t{0}}) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 5000; ++i) {  // 16 twists
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+/// Bit equality, so -0.0 vs +0.0 or two different NaNs would differ.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(RngTest, DrawsMatchStandardDistributionsOnTheStandardEngine) {
+  // Every Rng draw must consume the engine exactly as the standard
+  // distributions over std::mt19937_64 do and return the same bits, so
+  // replacing the engine or Uniform's formula changes no result.
+  Rng rng(2024);
+  std::mt19937_64 reference(2024);
+  for (int i = 0; i < 20000; ++i) {
+    switch (i % 7) {
+      case 0:
+        ASSERT_TRUE(SameBits(
+            rng.Uniform(),
+            std::uniform_real_distribution<double>(0.0, 1.0)(reference)))
+            << i;
+        break;
+      case 1:
+        ASSERT_TRUE(SameBits(
+            rng.Uniform(-3.5, 7.25),
+            std::uniform_real_distribution<double>(-3.5, 7.25)(reference)))
+            << i;
+        break;
+      case 2:
+        ASSERT_EQ(rng.UniformInt(-5, 1000),
+                  std::uniform_int_distribution<std::int64_t>(-5, 1000)(
+                      reference))
+            << i;
+        break;
+      case 3:
+        ASSERT_TRUE(SameBits(
+            rng.Gaussian(4.0, 2.0),
+            std::normal_distribution<double>(4.0, 2.0)(reference)))
+            << i;
+        break;
+      case 4:
+        ASSERT_TRUE(SameBits(
+            rng.Exponential(30.0),
+            std::exponential_distribution<double>(1.0 / 30.0)(reference)))
+            << i;
+        break;
+      case 5:
+        ASSERT_EQ(rng.Bernoulli(0.3),
+                  std::uniform_real_distribution<double>(0.0, 1.0)(
+                      reference) < 0.3)
+            << i;
+        break;
+      default:
+        ASSERT_EQ(rng.Fork(), reference()) << i;
+        break;
+    }
+  }
+}
+
+TEST(RngTest, UniformHoldsTheLargestDrawBelowOne) {
+  // x = 2^64 - 1 rounds to 2^64, which would make the draw 1.0.
+  const double u = static_cast<double>(~std::uint64_t{0}) * 0x1p-64;
+  EXPECT_EQ(u, 1.0);
+  struct MaxEngine {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() { return max(); }
+  } max_engine;
+  EXPECT_TRUE(SameBits(
+      std::uniform_real_distribution<double>(0.0, 1.0)(max_engine),
+      0x1.fffffffffffffp-1));
+}
 
 TEST(RngTest, DeterministicGivenSeed) {
   Rng a(123);

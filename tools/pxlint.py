@@ -93,6 +93,7 @@ CHECKPOINT_REGISTRY = [
     ("src/core/pair_enumeration.h", "ScanDespitePairs"),
     ("src/core/pair_enumeration.cc", "SampleRelatedPairs"),
     ("src/core/pair_enumeration.cc", "FindPairOfInterest"),
+    ("src/core/related_pair_index.cc", "RelatedPairIndex::Build"),
     ("src/core/explainer.cc", "GenerateClauseWith"),
     ("src/core/sim_but_diff.cc", "SimButDiff::ExplainPrepared"),
     ("src/features/pair_code_store.cc", "PairCodeStore::Build"),
